@@ -53,6 +53,7 @@ from .sweep import (
     MalformedLatticeError,
     SweepAxis,
     SweepCell,
+    SweepResult,
     SweepSpec,
     emit_csv,
     emit_region_svg,
@@ -95,6 +96,7 @@ __all__ = [
     "StrategyShares",
     "SweepAxis",
     "SweepCell",
+    "SweepResult",
     "SweepSpec",
     "TIE_TOLERANCE",
     "UtilityModel",

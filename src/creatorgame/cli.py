@@ -18,6 +18,10 @@ scenario or flags, 3 example checks failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -32,18 +36,14 @@ from .core import (
     utility_gap,
 )
 from .leader import stackelberg_solve
-from .response import best_response, switching_delta
+from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
-from .sweep import SweepAxis, SweepSpec, emit_csv, emit_region_svg, run_sweep
+from .sweep import SweepAxis, SweepSpec, _fmt, emit_csv, emit_region_svg, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_CHECK_FAILED = 3
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 def _resolve_scenario(arg: str) -> Scenario:
@@ -100,7 +100,29 @@ def _parse_axis(flag: str) -> SweepAxis:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}") from exc
 
 
+def _write_all(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each output to a temporary file beside its target, then move
+    them into place only once every write has succeeded."""
+    temps = []
+    try:
+        for path, data in outputs:
+            if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
+                raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+            temp = f"{path}.{os.urandom(6).hex()}.tmp"
+            with open(temp, "xb") as sink:
+                temps.append(temp)
+                sink.write(data)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):  # already moved into place
+                os.remove(temp)
+
+
 def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg: str | None) -> int:
+    if not isinstance(scenario.rule, Exact):
+        raise ScenarioError(f"scenario.rule: sweeps use the exact rule only, got {scenario.rule!r}")
     spec = SweepSpec(
         axis1=_parse_axis(axis1),
         axis2=_parse_axis(axis2) if axis2 is not None else None,
@@ -110,11 +132,13 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         rule=scenario.rule,
     )
     cells = run_sweep(spec)
-    with open(out, "wb") as sink:
-        emit_csv(cells, sink)
-    if svg is not None:
-        with open(svg, "wb") as sink:
-            emit_region_svg(cells, sink)
+    outputs = []
+    for path, emit in ((out, emit_csv), (svg, emit_region_svg)):
+        if path is not None:
+            sink = io.BytesIO()
+            emit(cells, sink)
+            outputs.append((path, sink.getvalue()))
+    _write_all(outputs)
     print(f"rows={len(cells)}")
     return EXIT_OK
 

@@ -1,15 +1,17 @@
 """Parameter sweeps and strategy-region maps over (weights, delta) space.
 
 A sweep fixes a full scenario and varies one or two of alpha, beta, gamma,
-delta over inclusive, evenly spaced grids. Each cell records both creator
-utilities, their gap, and the chosen (best-response) strategy. Cells can be
-emitted as CSV or, for two-axis sweeps, as a deterministic SVG region map.
+delta over inclusive, evenly spaced grids. The whole lattice is evaluated in
+one numpy pass: each cell holds both creator utilities, their gap, and the
+chosen (exact best-response) strategy. Cells can be emitted as CSV or, for
+two-axis sweeps, as a deterministic SVG region map.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -17,12 +19,15 @@ import numpy as np
 from .core import (
     AlgorithmWeights,
     CreatorParams,
+    EngagementProfile,
     GameTable,
     InvalidScenarioError,
     Strategy,
+    UtilityModel,
+    _checked,
     creator_utility,
 )
-from .response import Exact, ResponseRule, best_response, switching_delta
+from .response import Exact, switching_delta
 
 SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
 
@@ -63,18 +68,23 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes plus the fixed scenario supplying every non-swept value."""
+    """Axes plus the fixed scenario supplying every non-swept value.
+
+    Sweeps map exact best responses only; rule.tie_tol sets the band of
+    gaps that count as a tie and go to collaboration."""
 
     axis1: SweepAxis
     axis2: SweepAxis | None
     weights: AlgorithmWeights
     creator: CreatorParams
     table: GameTable
-    rule: ResponseRule = Exact()
+    rule: Exact = Exact()
 
     def __post_init__(self) -> None:
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise InvalidScenarioError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
+        if not isinstance(self.rule, Exact):
+            raise InvalidScenarioError(f"sweeps use the exact rule only, got {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -87,38 +97,119 @@ class SweepCell:
     gap: float
 
 
-def _with_overrides(
-    weights: AlgorithmWeights, creator: CreatorParams, overrides: dict[str, float]
-) -> tuple[AlgorithmWeights, CreatorParams]:
-    weight_overrides = {k: v for k, v in overrides.items() if k != "delta"}
-    if weight_overrides:
-        weights = dataclasses.replace(weights, **weight_overrides)
-    if "delta" in overrides:
-        creator = dataclasses.replace(creator, delta=overrides["delta"])
-    return weights, creator
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence[SweepCell]):
+    """Read-only sweep cells held as columns; a SweepCell is built on access.
+
+    names[a] is the a-th swept parameter, values[a] its values and
+    position[a, k] the place of cell k's value in values[a]. u_collab,
+    u_beef, gap and beefing (the chosen strategy is Beefing) hold one
+    entry per cell. Indexing, slicing (a list of cells) and iteration
+    yield SweepCell values.
+    """
+
+    names: tuple[str, ...]
+    values: tuple[np.ndarray, ...]
+    position: np.ndarray
+    u_collab: np.ndarray
+    u_beef: np.ndarray
+    gap: np.ndarray
+    beefing: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (*self.values, self.position, self.u_collab, self.u_beef, self.gap, self.beefing):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.gap)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(len(self))[key]]
+        k = range(len(self))[key]
+        return SweepCell(
+            param_values={
+                name: float(values[i]) for name, values, i in zip(self.names, self.values, self.position[:, k])
+            },
+            utilities={
+                Strategy.COLLABORATION: float(self.u_collab[k]),
+                Strategy.BEEFING: float(self.u_beef[k]),
+            },
+            chosen=Strategy.BEEFING if self.beefing[k] else Strategy.COLLABORATION,
+            gap=float(self.gap[k]),
+        )
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepCell]:
-    """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending."""
-    axis2_values: list[float | None] = list(spec.axis2.values()) if spec.axis2 else [None]
-    cells: list[SweepCell] = []
-    for v1 in spec.axis1.values():
-        for v2 in axis2_values:
-            overrides = {spec.axis1.name: v1}
-            if spec.axis2 is not None:
-                overrides[spec.axis2.name] = v2
-            weights, creator = _with_overrides(spec.weights, spec.creator, overrides)
-            utilities = {s: creator_utility(weights, creator, spec.table.profiles[s]) for s in Strategy}
-            gap = utilities[Strategy.BEEFING] - utilities[Strategy.COLLABORATION]
-            cells.append(
-                SweepCell(
-                    param_values=overrides,
-                    utilities=utilities,
-                    chosen=best_response(weights, creator, spec.table),
-                    gap=gap,
-                )
-            )
-    return cells
+def _utility(params: dict, model: UtilityModel, profile: EngagementProfile) -> np.ndarray:
+    """creator_utility over arrays of swept values, with its operations in its
+    order, so that every value is bit-identical to the scalar one."""
+    if model is UtilityModel.LINEAR:
+        f1, f2, f3, risk = profile.clicks, profile.watch_time, profile.shares, profile.drama_risk
+    else:
+        f1, f2 = math.log1p(profile.clicks), math.sqrt(profile.watch_time)
+        f3, risk = profile.shares, profile.drama_risk**2
+    return (params["alpha"] * f1 + params["beta"] * f2 + params["gamma"] * f3 - params["delta"] * risk).ravel()
+
+
+def _fixed_params(spec: SweepSpec) -> dict[str, float]:
+    return {
+        "alpha": spec.weights.alpha,
+        "beta": spec.weights.beta,
+        "gamma": spec.weights.gamma,
+        "delta": spec.creator.delta,
+    }
+
+
+def _valid(name: str, value: float) -> bool:
+    try:
+        _checked(name, value)
+    except InvalidScenarioError:
+        return False
+    return True
+
+
+def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
+    """Evaluate one invalid cell on the scalar path, which raises its error."""
+    params = {**_fixed_params(spec), **cell.param_values}
+    weights = AlgorithmWeights(params["alpha"], params["beta"], params["gamma"])
+    creator = CreatorParams(params["delta"], spec.creator.model)
+    for strategy in Strategy:
+        creator_utility(weights, creator, spec.table.profiles[strategy])
+    raise AssertionError(f"cell {cell} was flagged invalid but evaluates")
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending.
+
+    Raises the error the first invalid cell raises in that order: a swept
+    value that is negative or non-finite, or a non-finite utility.
+    """
+    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+    names = tuple(axis.name for axis in axes)
+    values = tuple(np.array(axis.values()) for axis in axes)
+    shape = tuple(axis.steps for axis in axes)
+    params = _fixed_params(spec)
+    for a, (name, axis_values) in enumerate(zip(names, values)):
+        params[name] = axis_values.reshape([-1 if b == a else 1 for b in range(len(axes))])
+    with np.errstate(all="ignore"):  # invalid cells are found and reported below
+        u_collab = _utility(params, spec.creator.model, spec.table.profiles[Strategy.COLLABORATION])
+        u_beef = _utility(params, spec.creator.model, spec.table.profiles[Strategy.BEEFING])
+        gap = u_beef - u_collab
+    result = SweepResult(
+        names,
+        values,
+        np.indices(shape).reshape(len(shape), -1),
+        u_collab,
+        u_beef,
+        gap,
+        gap > spec.rule.tie_tol,
+    )
+    ok = np.isfinite(u_collab) & np.isfinite(u_beef)
+    for name, axis_values, position in zip(names, values, result.position):
+        ok &= np.array([_valid(name, v) for v in axis_values.tolist()])[position]
+    if not ok.all():
+        _raise_cell_error(spec, result[int(np.argmin(ok))])
+    return result
 
 
 def region_boundary(spec: SweepSpec) -> float | None:
@@ -137,70 +228,113 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def emit_csv(cells: list[SweepCell], sink: BinaryIO) -> None:
+def _columns(cells: Sequence[SweepCell]) -> SweepResult:
+    """A SweepResult as it is; any other sequence of cells as columns in
+    which each cell keeps its own swept values."""
+    if isinstance(cells, SweepResult):
+        return cells
+    names = tuple(cells[0].param_values)
+    return SweepResult(
+        names=names,
+        values=tuple(np.array([cell.param_values[name] for cell in cells], dtype=float) for name in names),
+        position=np.tile(np.arange(len(cells)), (len(names), 1)),
+        u_collab=np.array([cell.utilities[Strategy.COLLABORATION] for cell in cells], dtype=float),
+        u_beef=np.array([cell.utilities[Strategy.BEEFING] for cell in cells], dtype=float),
+        gap=np.array([cell.gap for cell in cells], dtype=float),
+        beefing=np.array([cell.chosen is Strategy.BEEFING for cell in cells], dtype=bool),
+    )
+
+
+def _lattice(cells: Sequence[SweepCell]) -> SweepResult:
+    """The 2-axis lattice of the cells: a SweepResult's own axes, or for any
+    other sequence the distinct values along each axis, which must tile it."""
+    if not len(cells):
+        raise MalformedLatticeError("no cells")
+    columns = _columns(cells)
+    if len(columns.names) != 2:
+        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(columns.names)}")
+    if columns is cells:
+        return columns
+    values = [np.array(sorted(set(axis_values.tolist()))) for axis_values in columns.values]
+    if len(cells) != len(values[0]) * len(values[1]):
+        raise MalformedLatticeError(
+            f"{len(cells)} cells cannot tile a {len(values[0])}x{len(values[1])} lattice"
+        )
+    position = np.array([np.searchsorted(axis, cell_values) for axis, cell_values in zip(values, columns.values)])
+    return replace(columns, values=tuple(values), position=position)
+
+
+def emit_csv(cells: Sequence[SweepCell], sink: BinaryIO) -> None:
     """Write a header row then one row per cell.
 
     Columns: the swept parameter names (sorted), then u_collab, u_beef,
     gap, chosen. Reals use 9 significant digits; chosen is the strategy
     name; rows end with LF.
     """
-    if not cells:
+    if not len(cells):
         raise InvalidScenarioError("no cells to emit")
-    names = sorted(cells[0].param_values)
-    lines = [",".join(names + ["u_collab", "u_beef", "gap", "chosen"])]
-    for cell in cells:
-        row = [_fmt(cell.param_values[name]) for name in names]
-        row.append(_fmt(cell.utilities[Strategy.COLLABORATION]))
-        row.append(_fmt(cell.utilities[Strategy.BEEFING]))
-        row.append(_fmt(cell.gap))
-        row.append(cell.chosen.value)
-        lines.append(",".join(row))
+    columns = _columns(cells)
+    order = sorted(range(len(columns.names)), key=columns.names.__getitem__)
+    params = [
+        np.array([_fmt(v) for v in columns.values[a].tolist()], dtype=object)[columns.position[a]].tolist()
+        for a in order
+    ]
+    chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
+    # "%.9g" formats a float exactly as _fmt does.
+    row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
+    lines = [",".join([columns.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])]
+    lines += map(
+        row.__mod__,
+        zip(
+            *params,
+            columns.u_collab.tolist(),
+            columns.u_beef.tolist(),
+            columns.gap.tolist(),
+            chosen[columns.beefing.astype(np.intp)].tolist(),
+        ),
+    )
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def emit_region_svg(cells: list[SweepCell], sink: BinaryIO) -> None:
+def emit_region_svg(cells: Sequence[SweepCell], sink: BinaryIO) -> None:
     """Write a standalone SVG region map for a complete 2-axis lattice.
 
     One filled rectangle per cell, colored by the chosen strategy
     (collaboration green, beefing red); axes are labeled with the parameter
     names and their ranges. Output is byte-deterministic for identical
-    input. Grid dimensions are inferred from the distinct values along each
-    axis; a count mismatch raises MalformedLatticeError.
+    input. A run_sweep result brings its own axes; for any other sequence
+    of cells the grid dimensions are inferred from the distinct values
+    along each axis, and a count mismatch raises MalformedLatticeError.
     """
-    if not cells:
-        raise MalformedLatticeError("no cells")
-    names = list(cells[0].param_values)
-    if len(names) != 2:
-        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {names}")
-    name1, name2 = names
-    values1 = sorted({cell.param_values[name1] for cell in cells})
-    values2 = sorted({cell.param_values[name2] for cell in cells})
-    if len(cells) != len(values1) * len(values2):
-        raise MalformedLatticeError(
-            f"{len(cells)} cells cannot tile a {len(values1)}x{len(values2)} lattice"
-        )
-    index1 = {v: i for i, v in enumerate(values1)}
-    index2 = {v: i for i, v in enumerate(values2)}
+    lattice = _lattice(cells)
+    name1, name2 = lattice.names
+    values1, values2 = lattice.values
 
     width, height = 640, 480
     left, right, top, bottom = 90.0, 620.0, 30.0, 420.0
     cell_w = (right - left) / len(values1)
     cell_h = (bottom - top) / len(values2)
 
+    # A rect is the head of its column i followed by the tail of its row j in its color.
+    heads = np.array([f'<rect x="{left + i * cell_w:.2f}" y="' for i in range(len(values1))], dtype=object)
+    tails = np.array(
+        [
+            [
+                f'{bottom - (j + 1) * cell_h:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '  # axis2 ascends upward
+                f'fill="{color}"/>'
+                for j in range(len(values2))
+            ]
+            for color in (COLLABORATION_COLOR, BEEFING_COLOR)
+        ],
+        dtype=object,
+    )
+    rects = heads[lattice.position[0]] + tails[lattice.beefing.astype(np.intp), lattice.position[1]]
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for cell in cells:
-        i = index1[cell.param_values[name1]]
-        j = index2[cell.param_values[name2]]
-        x = left + i * cell_w
-        y = bottom - (j + 1) * cell_h  # axis2 ascends upward
-        color = BEEFING_COLOR if cell.chosen is Strategy.BEEFING else COLLABORATION_COLOR
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '
-            f'fill="{color}"/>'
-        )
+    parts += rects.tolist()
     mid_x = (left + right) / 2.0
     mid_y = (top + bottom) / 2.0
     parts.append(

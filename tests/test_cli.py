@@ -164,12 +164,68 @@ def test_sweep_svg_needs_two_axes(tmp_path):
         ]
     )
     assert rc == EXIT_INVALID
+    assert list(tmp_path.iterdir()) == []  # no partial output
+
+
+def test_sweep_degenerate_axis_maps_every_step(tmp_path, capsys):
+    out_csv, out_svg = tmp_path / "flat.csv", tmp_path / "flat.svg"
+    rc = main(
+        [
+            "sweep", "example3",
+            "--axis1", "alpha:0.5:0.5:3",
+            "--axis2", "delta:0:4:2",
+            "--out", str(out_csv),
+            "--svg", str(out_svg),
+        ]
+    )
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.strip() == "rows=6"
+    assert out_svg.read_text().count("<rect") == 6
+    assert "alpha: 0.5 to 0.5" in out_svg.read_text()
+    assert len(out_csv.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "rule", [{"quantal": {"lambda": 0}}, {"satisficing": {"aspiration": 1.0}}]
+)
+def test_sweep_rejects_non_exact_rules(tmp_path, capsys, rule):
+    path = _write_scenario(tmp_path, dict(BASELINE, rule=rule))
+    out_csv = tmp_path / "q.csv"
+    assert main(["sweep", path, "--axis1", "delta:0:4:5", "--out", str(out_csv)]) == EXIT_INVALID
+    assert "scenario.rule" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_sweep_write_failure_exits_io(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "out.csv"
     rc = main(["sweep", "example1", "--axis1", "delta:0:4:5", "--out", str(missing_dir)])
     assert rc == EXIT_IO
+    # an unwritable --svg path leaves no CSV behind either
+    rc = main(
+        [
+            "sweep", "example1",
+            "--axis1", "delta:0:4:5",
+            "--axis2", "alpha:0:1:2",
+            "--out", str(tmp_path / "grid.csv"),
+            "--svg", str(tmp_path / "nope" / "grid.svg"),
+        ]
+    )
+    assert rc == EXIT_IO
+    assert list(tmp_path.iterdir()) == []
+    # nor does an --svg path that names a directory
+    (tmp_path / "maps").mkdir()
+    rc = main(
+        [
+            "sweep", "example1",
+            "--axis1", "delta:0:4:5",
+            "--axis2", "alpha:0:1:2",
+            "--out", str(tmp_path / "grid.csv"),
+            "--svg", str(tmp_path / "maps"),
+        ]
+    )
+    assert rc == EXIT_IO
+    assert [p.name for p in tmp_path.iterdir()] == ["maps"]
+    assert list((tmp_path / "maps").iterdir()) == []
     capsys.readouterr()
 
 

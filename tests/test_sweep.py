@@ -1,5 +1,6 @@
 """Sweeps, region boundaries, CSV emission, and the SVG region map."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -9,20 +10,27 @@ from creatorgame import (
     AlgorithmWeights,
     CreatorParams,
     DEFAULT_TABLE,
+    EngagementProfile,
     Exact,
+    GameTable,
     InvalidScenarioError,
     MalformedLatticeError,
+    Quantal,
+    Satisficing,
     Strategy,
     SweepAxis,
+    SweepCell,
     SweepSpec,
+    UtilityModel,
     best_response,
+    creator_utility,
     emit_csv,
     emit_region_svg,
     region_boundary,
     run_sweep,
     utility_gap,
 )
-from creatorgame.sweep import BEEFING_COLOR, COLLABORATION_COLOR
+from creatorgame.sweep import BEEFING_COLOR, COLLABORATION_COLOR, SWEEPABLE_PARAMS
 
 W_BASE = AlgorithmWeights(1.0, 2.0, 1.5)
 W_VIRAL = AlgorithmWeights(2.5, 0.5, 2.0)
@@ -86,6 +94,148 @@ def test_two_axis_corner_sweep():
         Strategy.BEEFING,
         Strategy.BEEFING,
     ]
+
+
+def test_custom_tie_tolerance_widens_the_collaboration_band():
+    # beta = delta = 0 so the gap is 3*alpha + gamma: 0, 1, 3, 4 over the corners
+    spec = SweepSpec(
+        axis1=SweepAxis("alpha", 0.0, 1.0, 2),
+        axis2=SweepAxis("gamma", 0.0, 1.0, 2),
+        weights=AlgorithmWeights(0.0, 0.0, 0.0),
+        creator=CreatorParams(0.0),
+        table=DEFAULT_TABLE,
+        rule=Exact(tie_tol=2.0),
+    )
+    assert [c.chosen for c in run_sweep(spec)] == [
+        Strategy.COLLABORATION,
+        Strategy.COLLABORATION,
+        Strategy.BEEFING,
+        Strategy.BEEFING,
+    ]
+
+
+def test_sweeps_reject_non_exact_rules():
+    for rule in (Quantal(0.0), Satisficing(1.0)):
+        with pytest.raises(InvalidScenarioError, match="exact rule only"):
+            SweepSpec(
+                axis1=SweepAxis("delta", 0.0, 1.0, 2),
+                axis2=None,
+                weights=W_BASE,
+                creator=CreatorParams(1.0),
+                table=DEFAULT_TABLE,
+                rule=rule,
+            )
+
+
+def _reference_cells(spec):
+    """The per-cell scalar path the columnar kernel must match bit for bit."""
+    axis2_values = spec.axis2.values() if spec.axis2 is not None else [None]
+    cells = []
+    for v1 in spec.axis1.values():
+        for v2 in axis2_values:
+            swept = {spec.axis1.name: v1}
+            if spec.axis2 is not None:
+                swept[spec.axis2.name] = v2
+            weights = dataclasses.replace(spec.weights, **{k: v for k, v in swept.items() if k != "delta"})
+            creator = dataclasses.replace(spec.creator, **{k: v for k, v in swept.items() if k == "delta"})
+            cells.append(
+                SweepCell(
+                    param_values=swept,
+                    utilities={s: creator_utility(weights, creator, spec.table.profiles[s]) for s in Strategy},
+                    chosen=best_response(weights, creator, spec.table, tie_tol=spec.rule.tie_tol),
+                    gap=utility_gap(weights, creator, spec.table),
+                )
+            )
+    return cells
+
+
+def _reference_csv(cells):
+    """CSV bytes written cell by cell with format(value, ".9g")."""
+    names = sorted(cells[0].param_values)
+    lines = [",".join(names + ["u_collab", "u_beef", "gap", "chosen"])]
+    for cell in cells:
+        reals = [cell.param_values[n] for n in names] + [cell.utilities[s] for s in Strategy] + [cell.gap]
+        lines.append(",".join([format(v, ".9g") for v in reals] + [cell.chosen.value]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _emitted(emit, cells):
+    sink = io.BytesIO()
+    emit(cells, sink)
+    return sink.getvalue()
+
+
+def test_columnar_kernel_matches_scalar_path_bit_for_bit():
+    rng = np.random.default_rng(53)
+
+    def random_profile():
+        return EngagementProfile(*rng.integers(0, 4, size=3) * rng.choice([1.0, 0.5, 0.37]), rng.integers(0, 3) * 0.7)
+
+    pairs = [(a, b) for a in SWEEPABLE_PARAMS for b in SWEEPABLE_PARAMS + (None,) if a != b]
+    for model in UtilityModel:
+        for name1, name2 in pairs:
+            profile = random_profile()
+            # every fifth table gives both strategies one profile: the gap is exactly 0 everywhere
+            same = rng.random() < 0.2
+            table = GameTable({Strategy.COLLABORATION: profile, Strategy.BEEFING: profile if same else random_profile()})
+            axes = [
+                SweepAxis(name, lo, lo + rng.uniform(0.0, 5.0), int(rng.integers(1, 12)))
+                for name, lo in ((name1, rng.uniform(0.0, 1.0)), (name2, rng.uniform(0.0, 1.0)))
+                if name is not None
+            ]
+            spec = SweepSpec(
+                axis1=axes[0],
+                axis2=axes[1] if len(axes) == 2 else None,
+                weights=AlgorithmWeights(*rng.uniform(0.0, 3.0, size=3).round(int(rng.integers(0, 4)))),
+                creator=CreatorParams(round(rng.uniform(0.0, 4.0), 1), model),
+                table=table,
+                rule=Exact(),
+            )
+            result, reference = run_sweep(spec), _reference_cells(spec)
+            assert len(result) == len(reference)
+            assert result.u_collab.tolist() == [c.utilities[Strategy.COLLABORATION] for c in reference]
+            assert result.u_beef.tolist() == [c.utilities[Strategy.BEEFING] for c in reference]
+            assert result.gap.tolist() == [c.gap for c in reference]
+            assert [c.chosen for c in result] == [c.chosen for c in reference]
+            if same:
+                assert not result.gap.any()
+                assert not result.beefing.any()  # ties go to collaboration
+            assert _emitted(emit_csv, result) == _reference_csv(reference)
+            if len(axes) == 2:
+                # the result's own axes and inference from the cells draw the same map
+                assert _emitted(emit_region_svg, result) == _emitted(emit_region_svg, reference)
+
+
+def test_invalid_cells_raise_the_first_scalar_error():
+    def sweep(axis1, axis2=None):
+        return run_sweep(_spec(axis1, axis2=axis2, weights=W_BASE))
+
+    with pytest.raises(InvalidScenarioError, match=r"^alpha must be >= 0.0, got -1.0$"):
+        sweep(SweepAxis("alpha", -1.0, 1.0, 3))
+    with pytest.raises(InvalidScenarioError, match=r"^beta must be >= 0.0, got -2.0$"):
+        sweep(SweepAxis("delta", 0.0, 1.0, 3), SweepAxis("beta", -2.0, 0.0, 2))
+    # both values of the first cell are negative: weights are checked before delta
+    with pytest.raises(InvalidScenarioError, match=r"^alpha must be >= 0.0, got -2.0$"):
+        sweep(SweepAxis("delta", -1.0, 1.0, 3), SweepAxis("alpha", -2.0, 0.0, 2))
+    with pytest.raises(InvalidScenarioError, match=r"non-finite \(inf\)"):
+        sweep(SweepAxis("gamma", 0.0, 1e308, 3), SweepAxis("beta", 0.0, 1e308, 3))
+
+
+def test_result_is_a_read_only_sequence_of_cells():
+    spec = _spec(SweepAxis("alpha", 0.0, 3.0, 4), axis2=SweepAxis("delta", 0.0, 4.0, 3))
+    result, reference = run_sweep(spec), _reference_cells(spec)
+    assert len(result) == 12
+    assert result[0] == reference[0]
+    assert result[-1] == reference[-1]
+    assert result[-12] == reference[0]
+    assert result[2:9:3] == reference[2:9:3]
+    assert result[::-1] == reference[::-1]
+    assert list(result) == reference
+    for bad in (12, -13):
+        with pytest.raises(IndexError):
+            result[bad]
+    with pytest.raises(ValueError):
+        result.gap[0] = 1.0
 
 
 def test_region_boundary_inside_and_outside_range():
@@ -204,6 +354,12 @@ def test_svg_degenerate_single_cell_lattice():
     sink = io.BytesIO()
     emit_region_svg(run_sweep(spec), sink)
     assert sink.getvalue().decode().count("<rect") == 1
+    # lo == hi with several steps: a sweep result keeps its axes' step counts,
+    # while a plain list of its cells cannot be told apart from a 1x2 lattice
+    cells = run_sweep(_spec(SweepAxis("alpha", 0.5, 0.5, 3), axis2=SweepAxis("delta", 0.0, 2.0, 2)))
+    assert _emitted(emit_region_svg, cells).decode().count("<rect") == 6
+    with pytest.raises(MalformedLatticeError):
+        emit_region_svg(list(cells), io.BytesIO())
 
 
 def test_svg_is_byte_deterministic():
