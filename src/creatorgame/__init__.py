@@ -18,6 +18,7 @@ from .core import (
     Strategy,
     UtilityModel,
     creator_utility,
+    features,
     utility_gap,
 )
 from .response import (
@@ -42,11 +43,14 @@ from .leader import (
     BoxDomain,
     EquilibriumResult,
     LEADER_TIE_TOLERANCE,
+    MAX_GRID_EVALUATIONS,
     SimplexDomain,
     WeightDomain,
     algorithm_utility,
+    check_grid_budget,
     delta_sensitivity,
     enumerate_domain,
+    grid_size,
     stackelberg_solve,
 )
 from .sweep import (
@@ -82,6 +86,7 @@ __all__ = [
     "GameTable",
     "InvalidScenarioError",
     "LEADER_TIE_TOLERANCE",
+    "MAX_GRID_EVALUATIONS",
     "MalformedLatticeError",
     "PRESETS",
     "Population",
@@ -103,11 +108,14 @@ __all__ = [
     "WeightDomain",
     "algorithm_utility",
     "best_response",
+    "check_grid_budget",
     "creator_utility",
     "delta_sensitivity",
     "emit_csv",
     "emit_region_svg",
     "enumerate_domain",
+    "features",
+    "grid_size",
     "load_scenario",
     "make_delta_grid_population",
     "parse_scenario",

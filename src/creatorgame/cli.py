@@ -35,7 +35,7 @@ from .core import (
     creator_utility,
     utility_gap,
 )
-from .leader import stackelberg_solve
+from .leader import check_grid_budget, stackelberg_solve
 from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
 from .sweep import SweepAxis, SweepSpec, _fmt, emit_csv, emit_region_svg, run_sweep
@@ -76,6 +76,10 @@ def _cmd_best_response(scenario: Scenario) -> int:
 
 
 def _cmd_equilibrium(scenario: Scenario) -> int:
+    try:
+        check_grid_budget(scenario.domain, len(scenario.population))
+    except InvalidScenarioError as exc:
+        raise ScenarioError(f"scenario.domain: {exc}") from exc
     result = stackelberg_solve(scenario.domain, scenario.population, scenario.rule, scenario.table)
     print(f"alpha={_fmt(result.weights.alpha)}")
     print(f"beta={_fmt(result.weights.beta)}")

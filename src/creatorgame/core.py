@@ -139,10 +139,24 @@ DEFAULT_TABLE = GameTable(
 )
 
 
+def features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, float, float, float]:
+    """The feature map of one strategy's profile: (f1, f2, f3, r), so that the
+    creator's utility is alpha*f1 + beta*f2 + gamma*f3 - delta*r.
+
+    Linear model: (clicks, watch_time, shares, drama_risk).
+    Nonlinear model (diminishing returns, quadratic drama penalty):
+    (ln(1 + clicks), sqrt(watch_time), shares, drama_risk**2), natural log.
+    """
+    if model is UtilityModel.LINEAR:
+        return profile.clicks, profile.watch_time, profile.shares, profile.drama_risk
+    return math.log1p(profile.clicks), math.sqrt(profile.watch_time), profile.shares, profile.drama_risk**2
+
+
 def creator_utility(
     weights: AlgorithmWeights, params: CreatorParams, profile: EngagementProfile
 ) -> float:
-    """Creator payoff for one strategy's engagement profile.
+    """Creator payoff for one strategy's engagement profile:
+    ((alpha*f1 + beta*f2) + gamma*f3) - delta*r over the model's features.
 
     Linear model:
         alpha*clicks + beta*watch_time + gamma*shares - delta*drama_risk
@@ -153,20 +167,8 @@ def creator_utility(
     The logarithm is the natural log. Pure and deterministic; raises
     InvalidScenarioError if the result is non-finite (extreme inputs).
     """
-    if params.model is UtilityModel.LINEAR:
-        value = (
-            weights.alpha * profile.clicks
-            + weights.beta * profile.watch_time
-            + weights.gamma * profile.shares
-            - params.delta * profile.drama_risk
-        )
-    else:
-        value = (
-            weights.alpha * math.log1p(profile.clicks)
-            + weights.beta * math.sqrt(profile.watch_time)
-            + weights.gamma * profile.shares
-            - params.delta * profile.drama_risk**2
-        )
+    f1, f2, f3, r = features(profile, params.model)
+    value = weights.alpha * f1 + weights.beta * f2 + weights.gamma * f3 - params.delta * r
     if not math.isfinite(value):
         raise InvalidScenarioError(f"creator utility is non-finite ({value!r}); inputs too extreme")
     return value

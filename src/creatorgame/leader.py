@@ -10,9 +10,13 @@ invariant to rescaling all of (alpha, beta, gamma, delta).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .core import (
     AlgorithmWeights,
@@ -23,12 +27,18 @@ from .core import (
     UtilityModel,
     _checked,
     creator_utility,
+    features,
 )
-from .population import Population, StrategyShares, population_shares
+from .population import Population, StrategyShares, _columns, _shares, population_shares
 from .response import ResponseRule
 
 # Later grid points must beat the incumbent by more than this to win.
 LEADER_TIE_TOLERANCE = 1e-9
+
+# Largest grid points x members one search may evaluate: about 2 s for a
+# 41-member population, but up to about 80 s for a single creator, since
+# each grid point has a fixed cost of about 8 us (2-vCPU Xeon, numpy 2.4).
+MAX_GRID_EVALUATIONS = 10**7
 
 
 @dataclass(frozen=True)
@@ -98,32 +108,56 @@ def algorithm_utility(weights: AlgorithmWeights, shares: StrategyShares, table: 
     return total
 
 
+def grid_size(domain: WeightDomain) -> int:
+    """The number of grid points of the domain, computed without enumerating:
+    (n+1)(n+2)/2 for a simplex and (n+1)**3 for a box at resolution n."""
+    n = domain.resolution
+    if isinstance(domain, SimplexDomain):
+        return (n + 1) * (n + 2) // 2
+    if isinstance(domain, BoxDomain):
+        return (n + 1) ** 3
+    raise TypeError(f"unknown weight domain: {domain!r}")
+
+
+def check_grid_budget(domain: WeightDomain, members: int) -> None:
+    """Raise InvalidScenarioError when grid points x members exceeds
+    MAX_GRID_EVALUATIONS; nothing is enumerated or allocated."""
+    points = grid_size(domain)
+    if points * members > MAX_GRID_EVALUATIONS:
+        raise InvalidScenarioError(
+            f"{points} grid points x {members} members = {points * members} evaluations "
+            f"exceeds the limit of {MAX_GRID_EVALUATIONS}; lower the domain resolution"
+        )
+
+
+def _axes(domain: WeightDomain) -> tuple[list[float], list[float], list[float]]:
+    """The values i * bound / n, i = 0..n, along alpha, beta and gamma."""
+    n = domain.resolution
+    if isinstance(domain, SimplexDomain):
+        axis = [i * domain.total / n for i in range(n + 1)]
+        return axis, axis, axis
+    bounds = (domain.alpha_max, domain.beta_max, domain.gamma_max)
+    return tuple([i * bound / n for i in range(n + 1)] for bound in bounds)
+
+
+def _points(domain: WeightDomain) -> Iterator[tuple[float, float, float]]:
+    """The grid points as plain (alpha, beta, gamma) triples, in lexicographic
+    (i, j, k) index order."""
+    alphas, betas, gammas = _axes(domain)
+    if isinstance(domain, SimplexDomain):
+        n = domain.resolution
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                yield alphas[i], betas[j], gammas[n - i - j]
+    else:
+        yield from itertools.product(alphas, betas, gammas)
+
+
 def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
     """All grid points of the domain in lexicographic (i, j, k) index order,
     with (i, j, k) indexing (alpha, beta, gamma)."""
-    n = domain.resolution
-    points: list[AlgorithmWeights] = []
-    if isinstance(domain, SimplexDomain):
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                k = n - i - j
-                points.append(
-                    AlgorithmWeights(i * domain.total / n, j * domain.total / n, k * domain.total / n)
-                )
-    elif isinstance(domain, BoxDomain):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                for k in range(n + 1):
-                    points.append(
-                        AlgorithmWeights(
-                            i * domain.alpha_max / n,
-                            j * domain.beta_max / n,
-                            k * domain.gamma_max / n,
-                        )
-                    )
-    else:
-        raise TypeError(f"unknown weight domain: {domain!r}")
-    return points
+    check_grid_budget(domain, 1)
+    return [AlgorithmWeights(*point) for point in _points(domain)]
 
 
 def stackelberg_solve(
@@ -139,21 +173,38 @@ def stackelberg_solve(
     with algorithm_utility; the best point wins. Ties in leader value
     (within tie_tol) keep the earliest point in enumeration order, so the
     result is independent of evaluation parallelism.
+
+    The members are evaluated together, as arrays, at each point, with
+    population_shares' semantics; weights, shares and the result are built
+    for the returned optimum only. Errors are those of the point-by-point
+    search: an over-budget grid, then any invalid grid point, then the
+    first failing member at the first failing point, or a non-finite
+    leader value there.
     """
-    points = enumerate_domain(domain)
-    if not points:
-        raise InvalidScenarioError("weight domain produced no grid points")
+    tie_tol = _checked("tie_tol", tie_tol)
+    check_grid_budget(domain, len(pop))
+    if not all(math.isfinite(v) for axis in _axes(domain) for v in axis):
+        enumerate_domain(domain)  # raises the first invalid point's error
+    # engagement value is the linear model's (clicks, watch_time, shares)
+    c1, c2, c3, _ = features(table.profiles[Strategy.COLLABORATION], UtilityModel.LINEAR)
+    b1, b2, b3, _ = features(table.profiles[Strategy.BEEFING], UtilityModel.LINEAR)
 
-    best_weights: AlgorithmWeights | None = None
-    best_shares: StrategyShares | None = None
+    best = None
     best_value = -math.inf
-    for weights in points:
-        shares = population_shares(pop, rule, weights, table)
-        value = algorithm_utility(weights, shares, table)
-        if best_weights is None or value > best_value + tie_tol:
-            best_weights, best_shares, best_value = weights, shares, value
+    with np.errstate(all="ignore"):  # failures are found by _shares and below
+        columns = _columns(pop, table)
+        for alpha, beta, gamma in _points(domain):
+            s_collab, s_beef = _shares(columns, rule, alpha, beta, gamma)
+            # algorithm_utility's sum, in its order of operations
+            value = s_collab * ((alpha * c1 + beta * c2) + gamma * c3) + s_beef * (
+                (alpha * b1 + beta * b2) + gamma * b3
+            )
+            if not math.isfinite(value):
+                raise InvalidScenarioError(f"leader value is non-finite ({value!r})")
+            if best is None or value > best_value + tie_tol:
+                best, best_value = (alpha, beta, gamma), value
 
-    assert best_weights is not None and best_shares is not None
+    best_weights = AlgorithmWeights(*best)
     utilities = {
         s: sum(creator_utility(best_weights, m, table.profiles[s]) for m in pop.members)
         / len(pop.members)
@@ -161,10 +212,10 @@ def stackelberg_solve(
     }
     return EquilibriumResult(
         weights=best_weights,
-        shares=best_shares,
+        shares=population_shares(pop, rule, best_weights, table),
         leader_value=best_value,
         creator_utilities=utilities,
-        grid_points_evaluated=len(points),
+        grid_points_evaluated=grid_size(domain),
     )
 
 

@@ -7,12 +7,23 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import CreatorParams, GameTable, InvalidScenarioError, Strategy, UtilityModel, AlgorithmWeights
-from .response import ResponseRule, respond
+from .core import (
+    AlgorithmWeights,
+    CreatorParams,
+    EngagementProfile,
+    GameTable,
+    InvalidScenarioError,
+    Strategy,
+    UtilityModel,
+    features,
+)
+from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,80 @@ def point_mass_shares(strategy: Strategy) -> StrategyShares:
     return StrategyShares({s: (1.0 if s is strategy else 0.0) for s in Strategy})
 
 
+class _Columns(NamedTuple):
+    """Per-member feature columns of a population against one table: f1, f2,
+    f3 and risk_cost (delta * r) each have shape (2, members), row 0 for
+    Collaboration and row 1 for Beefing."""
+
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    risk_cost: np.ndarray
+    pop: Population
+    table: GameTable
+
+
+def _member_features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, float, float, float]:
+    try:
+        return features(profile, model)
+    except OverflowError:  # drama_risk**2: the member fails, and respond raises this for it
+        return 0.0, 0.0, 0.0, math.inf
+
+
+def _columns(pop: Population, table: GameTable) -> _Columns:
+    models = {m.model for m in pop.members}
+    phi = {model: [_member_features(table.profiles[s], model) for s in Strategy] for model in models}
+    f1, f2, f3, risk = np.array([phi[m.model] for m in pop.members]).transpose(2, 1, 0).copy()
+    deltas = np.array([m.delta for m in pop.members])
+    return _Columns(f1, f2, f3, deltas * risk, pop, table)
+
+
+def _shares(columns: _Columns, rule: ResponseRule, alpha: float, beta: float, gamma: float) -> tuple[float, float]:
+    """The (Collaboration, Beefing) shares at one weight vector, with
+    respond's semantics, over all members at once.
+
+    Utilities are ((alpha*f1 + beta*f2) + gamma*f3) - delta*r, in
+    creator_utility's order, so exact and satisficing shares are the same
+    head-count fractions as the per-member path, bit for bit. Quantal shares
+    agree with it to 1e-12 only: np.exp may differ from math.exp by one ulp,
+    and the probabilities are summed pairwise. Callers silence numpy's
+    floating-point warnings; a member that fails raises its error here.
+    """
+    u = ((alpha * columns.f1 + beta * columns.f2) + gamma * columns.f3) - columns.risk_cost
+    n = len(columns.pop)
+    if isinstance(rule, Quantal):
+        scores = np.exp(rule.lam * (u - np.maximum(u[0], u[1])))
+        probs = scores / (scores[0] + scores[1])
+        totals = probs.sum(axis=1)
+        if not math.isfinite(u.sum() + totals[0]):  # some member may have failed
+            suspects = ~(np.isfinite(u).all(axis=0) & np.isfinite(probs[0]))
+            _raise_member_error(columns, rule, (alpha, beta, gamma), suspects)
+        return float(totals[0]) / n, float(totals[1]) / n
+    if isinstance(rule, Exact):
+        beefing = u[1] - u[0] > rule.tie_tol
+    elif isinstance(rule, Satisficing):
+        beefing = (u[0] < rule.aspiration) & ((u[1] >= rule.aspiration) | (u[1] - u[0] > TIE_TOLERANCE))
+    else:
+        raise TypeError(f"unknown response rule: {rule!r}")
+    if not math.isfinite(u.sum()):  # some member may have failed
+        _raise_member_error(columns, rule, (alpha, beta, gamma), ~np.isfinite(u).all(axis=0))
+    beefs = int(np.count_nonzero(beefing))
+    return (n - beefs) / n, beefs / n
+
+
+def _raise_member_error(
+    columns: _Columns, rule: ResponseRule, weights: tuple[float, float, float], suspects: np.ndarray
+) -> None:
+    """Re-run the suspect members through respond in order; the first whose
+    response fails raises its error, tagged with its index. Suspects must
+    include every member that fails."""
+    for idx in np.flatnonzero(suspects).tolist():
+        try:
+            respond(rule, AlgorithmWeights(*weights), columns.pop.members[idx], columns.table)
+        except InvalidScenarioError as exc:
+            raise InvalidScenarioError(f"member {idx}: {exc}") from exc
+
+
 def population_shares(
     pop: Population,
     rule: ResponseRule,
@@ -67,16 +152,9 @@ def population_shares(
     stochastic rules it is the mean of per-member probabilities. Member
     errors are re-raised with the offending member index.
     """
-    totals = {s: 0.0 for s in Strategy}
-    for idx, member in enumerate(pop.members):
-        try:
-            dist = respond(rule, weights, member, table)
-        except InvalidScenarioError as exc:
-            raise InvalidScenarioError(f"member {idx}: {exc}") from exc
-        for s in Strategy:
-            totals[s] += dist.prob[s]
-    n = len(pop.members)
-    return StrategyShares({s: totals[s] / n for s in Strategy})
+    with np.errstate(all="ignore"):
+        collab, beef = _shares(_columns(pop, table), rule, weights.alpha, weights.beta, weights.gamma)
+    return StrategyShares({Strategy.COLLABORATION: collab, Strategy.BEEFING: beef})
 
 
 def make_delta_grid_population(

@@ -22,6 +22,7 @@ from .core import (
     UtilityModel,
     _checked,
     creator_utility,
+    features,
     utility_gap,
 )
 
@@ -142,22 +143,10 @@ def switching_delta(
     (equal risks). A negative result is returned as-is and means beefing
     is never preferred at any admissible delta >= 0.
     """
-    beef = table.profiles[Strategy.BEEFING]
-    collab = table.profiles[Strategy.COLLABORATION]
-    if model is UtilityModel.LINEAR:
-        numer = (
-            weights.alpha * (beef.clicks - collab.clicks)
-            + weights.beta * (beef.watch_time - collab.watch_time)
-            + weights.gamma * (beef.shares - collab.shares)
-        )
-        denom = beef.drama_risk - collab.drama_risk
-    else:
-        numer = (
-            weights.alpha * (math.log1p(beef.clicks) - math.log1p(collab.clicks))
-            + weights.beta * (math.sqrt(beef.watch_time) - math.sqrt(collab.watch_time))
-            + weights.gamma * (beef.shares - collab.shares)
-        )
-        denom = beef.drama_risk**2 - collab.drama_risk**2
+    b1, b2, b3, b_risk = features(table.profiles[Strategy.BEEFING], model)
+    c1, c2, c3, c_risk = features(table.profiles[Strategy.COLLABORATION], model)
+    numer = weights.alpha * (b1 - c1) + weights.beta * (b2 - c2) + weights.gamma * (b3 - c3)
+    denom = b_risk - c_risk
     if denom == 0.0:
         return None
     return numer / denom

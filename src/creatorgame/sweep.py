@@ -9,7 +9,6 @@ two-axis sweeps, as a deterministic SVG region map.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import BinaryIO
@@ -26,6 +25,7 @@ from .core import (
     UtilityModel,
     _checked,
     creator_utility,
+    features,
 )
 from .response import Exact, switching_delta
 
@@ -54,7 +54,8 @@ class SweepAxis:
             raise InvalidScenarioError(
                 f"axis name must be one of {SWEEPABLE_PARAMS}, got {self.name!r}"
             )
-        lo, hi = float(self.lo), float(self.hi)
+        lo = _checked(f"{self.name} axis lo", self.lo, minimum=None)
+        hi = _checked(f"{self.name} axis hi", self.hi, minimum=None)
         if not (lo <= hi):
             raise InvalidScenarioError(f"axis range must have lo <= hi, got [{lo!r}, {hi!r}]")
         object.__setattr__(self, "lo", lo)
@@ -143,11 +144,7 @@ class SweepResult(Sequence[SweepCell]):
 def _utility(params: dict, model: UtilityModel, profile: EngagementProfile) -> np.ndarray:
     """creator_utility over arrays of swept values, with its operations in its
     order, so that every value is bit-identical to the scalar one."""
-    if model is UtilityModel.LINEAR:
-        f1, f2, f3, risk = profile.clicks, profile.watch_time, profile.shares, profile.drama_risk
-    else:
-        f1, f2 = math.log1p(profile.clicks), math.sqrt(profile.watch_time)
-        f3, risk = profile.shares, profile.drama_risk**2
+    f1, f2, f3, risk = features(profile, model)
     return (params["alpha"] * f1 + params["beta"] * f2 + params["gamma"] * f3 - params["delta"] * risk).ravel()
 
 

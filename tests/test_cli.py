@@ -1,6 +1,10 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from creatorgame.cli import (
     main,
     run_example_checks,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASELINE = {
     "weights": {"alpha": 1.0, "beta": 2.0, "gamma": 1.5},
@@ -107,6 +113,15 @@ def test_equilibrium_population_threshold_partition(tmp_path, capsys):
     )
 
 
+def test_equilibrium_over_grid_budget_exits_invalid(tmp_path, capsys):
+    doc = dict(BASELINE, domain={"box": {"alpha_max": 1, "beta_max": 1, "gamma_max": 1, "resolution": 10**6}})
+    assert main(["equilibrium", _write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario.domain: ")
+    assert "exceeds the limit" in captured.err
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert main(["sweep", "example3", "--axis1", "delta:0:4:5", "--out", str(out_csv)]) == EXIT_OK
@@ -152,6 +167,25 @@ def test_sweep_malformed_axis_flag(tmp_path, capsys):
     assert main(["sweep", "example1", "--axis1", "zeta:0:4:5", "--out", str(out_csv)]) == EXIT_INVALID
     assert main(["sweep", "example1", "--axis1", "delta:a:b:5", "--out", str(out_csv)]) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "axis, given", [("gamma:0:inf:3", "inf"), ("gamma:nan:1:3", "nan"), ("delta:-inf:1:3", "-inf")]
+)
+def test_sweep_rejects_non_finite_axis_bounds(tmp_path, axis, given):
+    # run as a user would, so that a numpy warning would show on stderr
+    out_csv = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "creatorgame", "sweep", "example1", "--axis1", axis, "--out", str(out_csv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr.endswith(f"must be finite, got {given}\n")
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out_csv.exists()
 
 
 def test_sweep_svg_needs_two_axes(tmp_path):
