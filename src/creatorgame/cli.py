@@ -55,10 +55,11 @@ def _resolve_scenario(arg: str) -> Scenario:
 
 
 def _cmd_eval(scenario: Scenario) -> int:
-    for strategy in Strategy:
-        value = creator_utility(scenario.weights, scenario.creator, scenario.table.profiles[strategy])
+    utilities = [creator_utility(scenario.weights, scenario.creator, scenario.table.profiles[s]) for s in Strategy]
+    gap = utility_gap(scenario.weights, scenario.creator, scenario.table)
+    for strategy, value in zip(Strategy, utilities):
         print(f"{strategy.value}={_fmt(value)}")
-    print(f"gap={_fmt(utility_gap(scenario.weights, scenario.creator, scenario.table))}")
+    print(f"gap={_fmt(gap)}")
     return EXIT_OK
 
 

@@ -146,10 +146,16 @@ def features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, fl
     Linear model: (clicks, watch_time, shares, drama_risk).
     Nonlinear model (diminishing returns, quadratic drama penalty):
     (ln(1 + clicks), sqrt(watch_time), shares, drama_risk**2), natural log.
+    A drama_risk**2 too large for a float gives r = inf, so every utility
+    that weighs it is non-finite and rejected.
     """
     if model is UtilityModel.LINEAR:
         return profile.clicks, profile.watch_time, profile.shares, profile.drama_risk
-    return math.log1p(profile.clicks), math.sqrt(profile.watch_time), profile.shares, profile.drama_risk**2
+    try:
+        r = profile.drama_risk**2
+    except OverflowError:
+        r = math.inf
+    return math.log1p(profile.clicks), math.sqrt(profile.watch_time), profile.shares, r
 
 
 def creator_utility(

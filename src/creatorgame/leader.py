@@ -10,9 +10,7 @@ invariant to rescaling all of (alpha, beta, gamma, delta).
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,16 +27,28 @@ from .core import (
     creator_utility,
     features,
 )
-from .population import Population, StrategyShares, _columns, _shares, population_shares
+from .population import (
+    Population,
+    StrategyShares,
+    _chunk_shares,
+    _columns,
+    _raise_member_error,
+    population_shares,
+)
 from .response import ResponseRule
 
 # Later grid points must beat the incumbent by more than this to win.
 LEADER_TIE_TOLERANCE = 1e-9
 
-# Largest grid points x members one search may evaluate: about 2 s for a
-# 41-member population, but up to about 80 s for a single creator, since
-# each grid point has a fixed cost of about 8 us (2-vCPU Xeon, numpy 2.4).
+# Largest grid points x members one search may evaluate. At the limit a
+# single creator (simplex resolution 4470, 9,997,156 points) takes about
+# 1.4 s and a 41-member population (resolution 690) about 0.35 s
+# (2-vCPU Xeon, numpy 2.4).
 MAX_GRID_EVALUATIONS = 10**7
+
+# Largest points x members one chunk of the search evaluates at once; it
+# bounds the search's working memory, whatever the grid size.
+_CHUNK_EVALUATIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,8 @@ def algorithm_utility(weights: AlgorithmWeights, shares: StrategyShares, table: 
     """Share-weighted engagement value. Drama risk does not enter."""
     total = 0.0
     for s in Strategy:
-        p = table.profiles[s]
-        total += shares.share[s] * (
-            weights.alpha * p.clicks + weights.beta * p.watch_time + weights.gamma * p.shares
-        )
+        f1, f2, f3, _ = features(table.profiles[s], UtilityModel.LINEAR)
+        total += shares.share[s] * (weights.alpha * f1 + weights.beta * f2 + weights.gamma * f3)
     if not math.isfinite(total):
         raise InvalidScenarioError(f"leader value is non-finite ({total!r})")
     return total
@@ -140,24 +148,29 @@ def _axes(domain: WeightDomain) -> tuple[list[float], list[float], list[float]]:
     return tuple([i * bound / n for i in range(n + 1)] for bound in bounds)
 
 
-def _points(domain: WeightDomain) -> Iterator[tuple[float, float, float]]:
-    """The grid points as plain (alpha, beta, gamma) triples, in lexicographic
-    (i, j, k) index order."""
-    alphas, betas, gammas = _axes(domain)
+def _grid_indices(domain: WeightDomain, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, k) axis indices of the grid points with flat positions
+    lo..hi-1 in lexicographic (i, j, k) order, as int arrays."""
+    flat = np.arange(lo, hi)
+    n = domain.resolution
     if isinstance(domain, SimplexDomain):
-        n = domain.resolution
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                yield alphas[i], betas[j], gammas[n - i - j]
-    else:
-        yield from itertools.product(alphas, betas, gammas)
+        rows = np.arange(n + 1)
+        starts = rows * (n + 1) - rows * (rows - 1) // 2  # flat position of (i, 0, n - i)
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = flat - starts[i]
+        return i, j, n - i - j
+    i, rest = np.divmod(flat, (n + 1) ** 2)
+    j, k = np.divmod(rest, n + 1)
+    return i, j, k
 
 
 def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
     """All grid points of the domain in lexicographic (i, j, k) index order,
     with (i, j, k) indexing (alpha, beta, gamma)."""
     check_grid_budget(domain, 1)
-    return [AlgorithmWeights(*point) for point in _points(domain)]
+    axes = [np.array(axis) for axis in _axes(domain)]
+    indices = _grid_indices(domain, 0, grid_size(domain))
+    return [AlgorithmWeights(*point) for point in zip(*(axis[idx].tolist() for axis, idx in zip(axes, indices)))]
 
 
 def stackelberg_solve(
@@ -174,35 +187,52 @@ def stackelberg_solve(
     (within tie_tol) keep the earliest point in enumeration order, so the
     result is independent of evaluation parallelism.
 
-    The members are evaluated together, as arrays, at each point, with
-    population_shares' semantics; weights, shares and the result are built
-    for the returned optimum only. Errors are those of the point-by-point
-    search: an over-budget grid, then any invalid grid point, then the
-    first failing member at the first failing point, or a non-finite
-    leader value there.
+    The grid is evaluated in chunks of at most _CHUNK_EVALUATIONS points x
+    members (but at least one point), as arrays, with population_shares'
+    semantics, and the tie rule runs over each chunk's values; weights, shares
+    and the result are built for the returned optimum only. Errors are
+    those of the point-by-point search: an over-budget grid, then any
+    invalid grid point, then the first failing member at the first failing
+    point, or a non-finite leader value there.
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
-    if not all(math.isfinite(v) for axis in _axes(domain) for v in axis):
+    axes = [np.array(axis) for axis in _axes(domain)]
+    if not all(np.isfinite(axis).all() for axis in axes):
         enumerate_domain(domain)  # raises the first invalid point's error
     # engagement value is the linear model's (clicks, watch_time, shares)
     c1, c2, c3, _ = features(table.profiles[Strategy.COLLABORATION], UtilityModel.LINEAR)
     b1, b2, b3, _ = features(table.profiles[Strategy.BEEFING], UtilityModel.LINEAR)
 
-    best = None
-    best_value = -math.inf
-    with np.errstate(all="ignore"):  # failures are found by _shares and below
+    points = grid_size(domain)
+    step = max(1, _CHUNK_EVALUATIONS // len(pop))
+    best, best_value = None, -math.inf
+    with np.errstate(all="ignore"):  # failures are found by _chunk_shares and below
         columns = _columns(pop, table)
-        for alpha, beta, gamma in _points(domain):
-            s_collab, s_beef = _shares(columns, rule, alpha, beta, gamma)
+        for lo in range(0, points, step):
+            indices = _grid_indices(domain, lo, min(lo + step, points))
+            alpha, beta, gamma = (axis[idx] for axis, idx in zip(axes, indices))
+            s_collab, s_beef, suspects = _chunk_shares(columns, rule, alpha, beta, gamma)
             # algorithm_utility's sum, in its order of operations
-            value = s_collab * ((alpha * c1 + beta * c2) + gamma * c3) + s_beef * (
+            values = s_collab * ((alpha * c1 + beta * c2) + gamma * c3) + s_beef * (
                 (alpha * b1 + beta * b2) + gamma * b3
             )
-            if not math.isfinite(value):
-                raise InvalidScenarioError(f"leader value is non-finite ({value!r})")
-            if best is None or value > best_value + tie_tol:
-                best, best_value = (alpha, beta, gamma), value
+            failed = ~np.isfinite(values)
+            if suspects is not None:
+                failed |= suspects.any(axis=1)
+            for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
+                if suspects is not None:
+                    point = (float(alpha[p]), float(beta[p]), float(gamma[p]))
+                    _raise_member_error(columns, rule, point, suspects[p])
+                if not math.isfinite(values[p]):
+                    raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
+            # With tie_tol >= 0 a point that wins beats every earlier value,
+            # so only the strict records of the running maximum can win.
+            ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
+            for p in np.flatnonzero(values > ceiling).tolist():
+                value = float(values[p])
+                if value > best_value + tie_tol:
+                    best, best_value = (float(alpha[p]), float(beta[p]), float(gamma[p])), value
 
     best_weights = AlgorithmWeights(*best)
     utilities = {
@@ -215,7 +245,7 @@ def stackelberg_solve(
         shares=population_shares(pop, rule, best_weights, table),
         leader_value=best_value,
         creator_utilities=utilities,
-        grid_points_evaluated=grid_size(domain),
+        grid_points_evaluated=points,
     )
 
 

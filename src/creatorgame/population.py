@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     AlgorithmWeights,
     CreatorParams,
-    EngagementProfile,
     GameTable,
     InvalidScenarioError,
     Strategy,
@@ -79,60 +78,65 @@ class _Columns(NamedTuple):
     table: GameTable
 
 
-def _member_features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, float, float, float]:
-    try:
-        return features(profile, model)
-    except OverflowError:  # drama_risk**2: the member fails, and respond raises this for it
-        return 0.0, 0.0, 0.0, math.inf
-
-
 def _columns(pop: Population, table: GameTable) -> _Columns:
     models = {m.model for m in pop.members}
-    phi = {model: [_member_features(table.profiles[s], model) for s in Strategy] for model in models}
+    phi = {model: [features(table.profiles[s], model) for s in Strategy] for model in models}
     f1, f2, f3, risk = np.array([phi[m.model] for m in pop.members]).transpose(2, 1, 0).copy()
     deltas = np.array([m.delta for m in pop.members])
     return _Columns(f1, f2, f3, deltas * risk, pop, table)
 
 
-def _shares(columns: _Columns, rule: ResponseRule, alpha: float, beta: float, gamma: float) -> tuple[float, float]:
-    """The (Collaboration, Beefing) shares at one weight vector, with
+def _chunk_shares(
+    columns: _Columns, rule: ResponseRule, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The (Collaboration, Beefing) shares at a chunk of weight vectors, with
     respond's semantics, over all members at once.
 
-    Utilities are ((alpha*f1 + beta*f2) + gamma*f3) - delta*r, in
-    creator_utility's order, so exact and satisficing shares are the same
+    alpha, beta and gamma have shape (points,); the utilities have shape
+    (points, 2, members) and are ((alpha*f1 + beta*f2) + gamma*f3) - delta*r,
+    in creator_utility's order, so exact and satisficing shares are the same
     head-count fractions as the per-member path, bit for bit. Quantal shares
     agree with it to 1e-12 only: np.exp may differ from math.exp by one ulp,
-    and the probabilities are summed pairwise. Callers silence numpy's
-    floating-point warnings; a member that fails raises its error here.
+    and the probabilities are summed pairwise.
+
+    Returns both shares as (points,) arrays and a (points, members) mask of
+    the members that may have failed at each point, or None when none may
+    have: the caller re-runs them through _raise_member_error. Callers
+    silence numpy's floating-point warnings.
     """
-    u = ((alpha * columns.f1 + beta * columns.f2) + gamma * columns.f3) - columns.risk_cost
+    a, b, g = alpha[:, None, None], beta[:, None, None], gamma[:, None, None]
+    u = ((a * columns.f1 + b * columns.f2) + g * columns.f3) - columns.risk_cost
+    u_collab, u_beef = u[:, 0], u[:, 1]
     n = len(columns.pop)
     if isinstance(rule, Quantal):
-        scores = np.exp(rule.lam * (u - np.maximum(u[0], u[1])))
-        probs = scores / (scores[0] + scores[1])
-        totals = probs.sum(axis=1)
-        if not math.isfinite(u.sum() + totals[0]):  # some member may have failed
-            suspects = ~(np.isfinite(u).all(axis=0) & np.isfinite(probs[0]))
-            _raise_member_error(columns, rule, (alpha, beta, gamma), suspects)
-        return float(totals[0]) / n, float(totals[1]) / n
+        scores = np.exp(rule.lam * (u - np.maximum(u_collab, u_beef)[:, None]))
+        probs = scores / (scores[:, 0] + scores[:, 1])[:, None]
+        totals = probs.sum(axis=2)
+        suspects = None
+        if not math.isfinite(u.sum() + totals[:, 0].sum()):  # some member may have failed
+            suspects = ~(np.isfinite(u).all(axis=1) & np.isfinite(probs[:, 0]))
+        return totals[:, 0] / n, totals[:, 1] / n, suspects
     if isinstance(rule, Exact):
-        beefing = u[1] - u[0] > rule.tie_tol
+        beefing = u_beef - u_collab > rule.tie_tol
     elif isinstance(rule, Satisficing):
-        beefing = (u[0] < rule.aspiration) & ((u[1] >= rule.aspiration) | (u[1] - u[0] > TIE_TOLERANCE))
+        beefing = (u_collab < rule.aspiration) & (
+            (u_beef >= rule.aspiration) | (u_beef - u_collab > TIE_TOLERANCE)
+        )
     else:
         raise TypeError(f"unknown response rule: {rule!r}")
+    suspects = None
     if not math.isfinite(u.sum()):  # some member may have failed
-        _raise_member_error(columns, rule, (alpha, beta, gamma), ~np.isfinite(u).all(axis=0))
-    beefs = int(np.count_nonzero(beefing))
-    return (n - beefs) / n, beefs / n
+        suspects = ~np.isfinite(u).all(axis=1)
+    beefs = np.count_nonzero(beefing, axis=1)
+    return (n - beefs) / n, beefs / n, suspects
 
 
 def _raise_member_error(
     columns: _Columns, rule: ResponseRule, weights: tuple[float, float, float], suspects: np.ndarray
 ) -> None:
-    """Re-run the suspect members through respond in order; the first whose
-    response fails raises its error, tagged with its index. Suspects must
-    include every member that fails."""
+    """Re-run the suspect members of one point through respond in order; the
+    first whose response fails raises its error, tagged with its index.
+    Suspects must include every member that fails."""
     for idx in np.flatnonzero(suspects).tolist():
         try:
             respond(rule, AlgorithmWeights(*weights), columns.pop.members[idx], columns.table)
@@ -152,9 +156,13 @@ def population_shares(
     stochastic rules it is the mean of per-member probabilities. Member
     errors are re-raised with the offending member index.
     """
+    point = (weights.alpha, weights.beta, weights.gamma)
     with np.errstate(all="ignore"):
-        collab, beef = _shares(_columns(pop, table), rule, weights.alpha, weights.beta, weights.gamma)
-    return StrategyShares({Strategy.COLLABORATION: collab, Strategy.BEEFING: beef})
+        columns = _columns(pop, table)
+        collab, beef, suspects = _chunk_shares(columns, rule, *(np.array([w]) for w in point))
+    if suspects is not None:
+        _raise_member_error(columns, rule, point, suspects[0])
+    return StrategyShares({Strategy.COLLABORATION: float(collab[0]), Strategy.BEEFING: float(beef[0])})
 
 
 def make_delta_grid_population(

@@ -188,6 +188,32 @@ def test_sweep_rejects_non_finite_axis_bounds(tmp_path, axis, given):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "best-response", "equilibrium", "sweep"])
+def test_nonlinear_drama_risk_overflow_exits_invalid(tmp_path, command):
+    # drama_risk**2 overflows a float for a nonlinear creator; every command
+    # must report it as an invalid scenario, not die with a traceback
+    doc = {
+        "weights": {"alpha": 1, "beta": 1, "gamma": 1},
+        "creator": {"delta": 1.0, "model": "nonlinear"},
+        "table": {
+            "collaboration": {"clicks": 1, "watch_time": 1, "shares": 1, "drama_risk": 0},
+            "beefing": {"clicks": 1, "watch_time": 1, "shares": 1, "drama_risk": 1e200},
+        },
+        "domain": {"simplex": {"resolution": 4}},
+    }
+    out_csv = tmp_path / "x.csv"
+    argv = [command, _write_scenario(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--axis1", "delta:0:1:3", "--out", str(out_csv)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "creatorgame", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "non-finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_csv.exists()
+
+
 def test_sweep_svg_needs_two_axes(tmp_path):
     rc = main(
         [

@@ -1,13 +1,17 @@
-"""The member-axis kernel behind population_shares and stackelberg_solve,
-checked against a scalar reference: respond member by member,
+"""The (points x members) kernel behind population_shares and
+stackelberg_solve, checked against a scalar reference: respond member by member,
 algorithm_utility, and the sequential leader tie rule."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from creatorgame import leader
 from creatorgame import (
     AlgorithmWeights,
     BoxDomain,
@@ -334,3 +338,211 @@ def test_over_budget_grids_are_rejected_before_allocating(domain):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# --- the grid axis: chunks of points x members -------------------------------
+
+CHUNKS = [1, 2, 3, 7, 4096]  # 4096, the default, holds each grid of these tests in one chunk
+
+
+@pytest.fixture(params=CHUNKS, ids=lambda chunk: f"chunk{chunk}")
+def chunk_size(request, monkeypatch):
+    monkeypatch.setattr(leader, "_CHUNK_EVALUATIONS", request.param)
+    return request.param
+
+
+def _assert_solve_matches(domain, pop, rule, table, tie_tol=LEADER_TIE_TOLERANCE):
+    result = stackelberg_solve(domain, pop, rule, table, tie_tol=tie_tol)
+    weights, shares, value = _reference_solve(domain, pop, rule, table, tie_tol=tie_tol)
+    quantal = isinstance(rule, Quantal)
+    assert result.weights == weights
+    _assert_shares_match(result.shares, shares, quantal)
+    if quantal:
+        assert result.leader_value == pytest.approx(value, abs=1e-12)
+    else:
+        assert result.leader_value == value
+
+
+def _nested_loop_points(domain):
+    n = domain.resolution
+    if isinstance(domain, SimplexDomain):
+        axis = [i * domain.total / n for i in range(n + 1)]
+        return [(axis[i], axis[j], axis[n - i - j]) for i in range(n + 1) for j in range(n - i + 1)]
+    bounds = (domain.alpha_max, domain.beta_max, domain.gamma_max)
+    a, b, g = ([i * bound / n for i in range(n + 1)] for bound in bounds)
+    return [(x, y, z) for x in a for y in b for z in g]
+
+
+def test_enumeration_is_lexicographic_in_the_axis_indices():
+    for n in (1, 2, 3, 10, 57):
+        for domain in (SimplexDomain(0.7, n), BoxDomain(0.3, 1.1, 2.9, resolution=min(n, 12))):
+            points = [(w.alpha, w.beta, w.gamma) for w in enumerate_domain(domain)]
+            assert points == _nested_loop_points(domain)
+
+
+def test_chunked_solve_matches_the_reference(chunk_size):
+    rng = np.random.default_rng([31, chunk_size])
+    for case in range(24):
+        rule = RULES[sorted(RULES)[case % 3]](rng)
+        table = DEFAULT_TABLE if case % 4 == 0 else _random_table(rng, integral=case % 2 == 1)
+        pop = _random_population(rng, (LINEAR, NONLINEAR))
+        _assert_solve_matches(_random_domain(rng), pop, rule, table)
+
+
+@pytest.mark.parametrize("rule", [Exact(), Exact(0.0), Satisficing(4.0), Quantal(2.0)])
+def test_chunked_plateaus_keep_the_earliest_point(chunk_size, rule):
+    # DEFAULT_TABLE's optimum is a plateau spread over many chunks
+    for deltas in ((0.5,), (0.0, 1.0, 2.0), tuple(np.linspace(0.0, 5.0, 11).tolist())):
+        pop = Population(tuple(CreatorParams(d) for d in deltas))
+        for domain in (SimplexDomain(1.0, 6), BoxDomain(1.0, 1.0, 1.0, resolution=3)):
+            _assert_solve_matches(domain, pop, rule, DEFAULT_TABLE)
+
+
+def test_chunked_tie_boundary_is_strict(chunk_size):
+    # (0, 0, 1) scores 3, (0, 1, 0) scores 5 and (1, 0, 0) scores 5: with
+    # chunks of one or two points the scores straddle chunk boundaries
+    pop = Population((CreatorParams(0.5),))
+    domain = SimplexDomain(1.0, 1)
+    at_boundary = stackelberg_solve(domain, pop, Exact(), DEFAULT_TABLE, tie_tol=2.0)
+    assert (at_boundary.weights, at_boundary.leader_value) == (AlgorithmWeights(0.0, 0.0, 1.0), 3.0)
+    inside = stackelberg_solve(domain, pop, Exact(), DEFAULT_TABLE, tie_tol=1.5)
+    assert (inside.weights, inside.leader_value) == (AlgorithmWeights(0.0, 1.0, 0.0), 5.0)
+    rng = np.random.default_rng([37, chunk_size])
+    for _ in range(12):
+        table = _random_table(rng, integral=True)
+        pop = _random_population(rng, (LINEAR,))
+        domain = _random_domain(rng)
+        # whole-number tie tolerances make values exactly at incumbent + tie_tol common
+        for tie_tol in (0.0, 1.0, float(rng.integers(2, 6))):
+            _assert_solve_matches(domain, pop, Exact(), table, tie_tol=tie_tol)
+
+
+def _rising_table(n):
+    # Collaboration is always chosen (Beefing carries drama risk and no more
+    # engagement), and its value rises strictly along enumeration order:
+    # clicks outweigh any watch time, watch time any shares.
+    collab = EngagementProfile((n + 1) ** 2, n + 1, 1.0, 0.0)
+    return GameTable({Strategy.COLLABORATION: collab, Strategy.BEEFING: EngagementProfile(0.0, 0.0, 0.0, 1.0)})
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, LEADER_TIE_TOLERANCE, 0.3, 1.0, 2.5])
+def test_every_point_a_record(chunk_size, tie_tol):
+    n = 4
+    table = _rising_table(n)
+    pop = Population((CreatorParams(1.0), CreatorParams(2.0, NONLINEAR)))
+    point_mass = StrategyShares({Strategy.COLLABORATION: 1.0, Strategy.BEEFING: 0.0})
+    for domain in (SimplexDomain(1.0, n), BoxDomain(1.0, 1.0, 1.0, resolution=n)):
+        values = [algorithm_utility(w, point_mass, table) for w in enumerate_domain(domain)]
+        assert all(later > earlier for earlier, later in zip(values, values[1:]))
+        for rule in (Exact(), Satisficing(0.5)):
+            _assert_solve_matches(domain, pop, rule, table, tie_tol=tie_tol)
+    top = stackelberg_solve(BoxDomain(1.0, 1.0, 1.0, resolution=n), pop, Exact(), table, tie_tol=0.0)
+    assert top.weights == AlgorithmWeights(1.0, 1.0, 1.0)
+
+
+OVERFLOW_TABLE = GameTable(
+    {
+        Strategy.COLLABORATION: EngagementProfile(1.0, 1.0, 1.0, 0.0),
+        Strategy.BEEFING: EngagementProfile(1e308, 1.0, 1.0, 1.0),
+    }
+)
+
+
+# A nonlinear creator's Beefing utility overflows at (alpha, beta) =
+# (1.75e308, 1.7e308) while the leader's engagement value stays finite:
+# 1.75e308*ln(1.75) + 1.7e308*sqrt(0.25) > max float > 1.75e308*0.75 + 1.7e308*0.25.
+SQUEEZE_TABLE = GameTable(
+    {
+        Strategy.COLLABORATION: EngagementProfile(0.0, 0.0, 0.0, 0.0),
+        Strategy.BEEFING: EngagementProfile(0.75, 0.25, 0.0, 0.0),
+    }
+)
+LATE_FAILURES = {
+    # Member 1 (linear) overflows only once alpha >= 2, far into the grid,
+    # and member 2 with it; earlier chunks hold no failure.
+    "member": (
+        OVERFLOW_TABLE,
+        BoxDomain(3.0, 1.0, 1.0, resolution=3),
+        ((1.0, NONLINEAR), (2.0, LINEAR), (3.0, LINEAR)),
+    ),
+    # Nonlinear members stay finite; the leader value overflows from alpha = 2.
+    "leader": (OVERFLOW_TABLE, BoxDomain(3.0, 1.0, 1.0, resolution=3), ((1.0, NONLINEAR), (2.0, NONLINEAR))),
+    # The member collaborates at alpha = 2, a zero share of infinite
+    # engagement (nan), and beefs at alpha = 3 (inf): the first one counts.
+    "leader-nan-first": (OVERFLOW_TABLE, BoxDomain(3.0, 1.0, 1.0, resolution=3), ((1800.0, NONLINEAR),)),
+    # Only the last points fail, and only the member does.
+    "member-only": (SQUEEZE_TABLE, BoxDomain(1.75e308, 1.7e308, 1.0, resolution=1), ((1.0, NONLINEAR),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+@pytest.mark.parametrize("rule", RULE_CASES)
+def test_chunked_errors_in_a_later_chunk_are_the_reference_errors(chunk_size, rule, case):
+    table, domain, members = LATE_FAILURES[case]
+    pop = Population(tuple(CreatorParams(delta, model) for delta, model in members))
+    expected = _reference_error(lambda: _reference_solve(domain, pop, rule, table))
+    assert expected.startswith("member" if case.startswith("member") else "leader value")
+    with pytest.raises(InvalidScenarioError) as info:
+        stackelberg_solve(domain, pop, rule, table)
+    assert str(info.value) == expected
+
+
+def test_chunked_satisficing_suspects_that_never_fail(chunk_size):
+    # Collaboration meets the aspiration, so member 1's overflowing Beefing
+    # utility, from alpha >= 2 on, flags it without failing it; the leader
+    # value there (a zero share of infinite engagement) fails instead.
+    pop = Population((CreatorParams(1.0, NONLINEAR), CreatorParams(2.0, LINEAR)))
+    domain = BoxDomain(3.0, 1.0, 1.0, resolution=3)
+    expected = _reference_error(lambda: _reference_solve(domain, pop, Satisficing(0.0), OVERFLOW_TABLE))
+    assert expected == "leader value is non-finite (nan)"
+    with pytest.raises(InvalidScenarioError) as info:
+        stackelberg_solve(domain, pop, Satisficing(0.0), OVERFLOW_TABLE)
+    assert str(info.value) == expected
+
+
+@st.composite
+def _solver_cases(draw):
+    metric = st.integers(0, 6).map(float)
+    table = GameTable(
+        {s: EngagementProfile(*(draw(metric) for _ in range(4))) for s in (Strategy.COLLABORATION, Strategy.BEEFING)}
+    )
+    members = draw(
+        st.lists(st.tuples(st.integers(0, 8), st.sampled_from([LINEAR, NONLINEAR])), min_size=1, max_size=6)
+    )
+    pop = Population(tuple(CreatorParams(d / 2, model) for d, model in members))
+    rule = draw(
+        st.one_of(
+            st.integers(0, 2).map(lambda t: Exact(t / 2)),
+            st.integers(-2, 20).map(lambda a: Satisficing(a / 2)),
+            st.integers(0, 8).map(lambda lam: Quantal(lam / 2)),
+        )
+    )
+    n = draw(st.integers(1, 6))
+    total = float(draw(st.integers(1, 3)))
+    domain = draw(
+        st.sampled_from([SimplexDomain(total, n), BoxDomain(total, 1.0, 2.0, resolution=min(n, 4))])
+    )
+    tie_tol = draw(st.sampled_from([0.0, LEADER_TIE_TOLERANCE, 0.5, 1.0]))
+    return domain, pop, rule, table, tie_tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_solver_cases(), chunk=st.sampled_from([1, 2, 3, 5, 7, 16, 4096]))
+def test_property_chunked_solve_equals_the_reference(case, chunk):
+    with mock.patch.object(leader, "_CHUNK_EVALUATIONS", chunk):
+        _assert_solve_matches(*case[:4], tie_tol=case[4])
+
+
+def test_search_memory_is_bounded_by_the_chunk():
+    pop = Population((CreatorParams(1.0),))
+    peaks = {}
+    for resolution in (200, 1000):
+        tracemalloc.start()
+        try:
+            stackelberg_solve(SimplexDomain(1.0, resolution), pop, Exact(), DEFAULT_TABLE)
+            peaks[resolution] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert grid_size(SimplexDomain(1.0, 1000)) == 501_501
+    assert peaks[1000] < 2 << 20
+    assert peaks[1000] - peaks[200] < 1 << 18
