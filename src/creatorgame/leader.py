@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     AlgorithmWeights,
     CreatorParams,
+    EngagementProfile,
     GameTable,
     InvalidScenarioError,
     Strategy,
@@ -28,6 +29,7 @@ from .core import (
     features,
 )
 from .population import (
+    MAX_GRID_EVALUATIONS,
     Population,
     StrategyShares,
     _chunk_shares,
@@ -39,12 +41,6 @@ from .response import ResponseRule
 
 # Later grid points must beat the incumbent by more than this to win.
 LEADER_TIE_TOLERANCE = 1e-9
-
-# Largest grid points x members one search may evaluate. At the limit a
-# single creator (simplex resolution 4470, 9,997,156 points) takes about
-# 1.4 s and a 41-member population (resolution 690) about 0.35 s
-# (2-vCPU Xeon, numpy 2.4).
-MAX_GRID_EVALUATIONS = 10**7
 
 # Largest points x members one chunk of the search evaluates at once; it
 # bounds the search's working memory, whatever the grid size.
@@ -173,6 +169,37 @@ def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
     return [AlgorithmWeights(*point) for point in zip(*(axis[idx].tolist() for axis, idx in zip(axes, indices)))]
 
 
+def _values_stay_finite(top: tuple[float, float, float], pop: Population, table: GameTable) -> bool:
+    """Whether no utility, gap, choice probability or leader value can be
+    non-finite anywhere on a grid whose weights are at most `top` on each axis.
+
+    Weights, features and deltas are >= 0 and rounding is monotone, so every
+    engagement sum on the grid is at most its value at `top`, and every risk
+    cost at most the largest delta times the largest r. A utility is then at
+    most their sum in size, a gap or a shifted quantal exponent at most twice
+    that, and a leader value at most the largest leader engagement sum times
+    (1 + a few ulps): a factor 4 keeps them all finite.
+    """
+    a, b, g = top
+
+    def extremes(model: UtilityModel) -> tuple[float, float]:
+        """The largest engagement sum at `top` and the largest r of either strategy."""
+        phis = [features(table.profiles[s], model) for s in Strategy]
+        return max((a * f1 + b * f2) + g * f3 for f1, f2, f3, _ in phis), max(phi[3] for phi in phis)
+
+    creators = [extremes(model) for model in {m.model for m in pop.members}]
+    utility = max(e for e, _ in creators) + max(m.delta for m in pop.members) * max(r for _, r in creators)
+    return math.isfinite(4.0 * utility) and math.isfinite(4.0 * extremes(UtilityModel.LINEAR)[0])
+
+
+def _member_utility(weights: AlgorithmWeights, idx: int, member: CreatorParams, profile: EngagementProfile) -> float:
+    """creator_utility of member idx, whose error is tagged with the index."""
+    try:
+        return creator_utility(weights, member, profile)
+    except InvalidScenarioError as exc:
+        raise InvalidScenarioError(f"member {idx}: {exc}") from exc
+
+
 def stackelberg_solve(
     domain: WeightDomain,
     pop: Population,
@@ -190,14 +217,18 @@ def stackelberg_solve(
     The grid is evaluated in chunks of at most _CHUNK_EVALUATIONS points x
     members (but at least one point), as arrays, with population_shares'
     semantics, and the tie rule runs over each chunk's values; weights, shares
-    and the result are built for the returned optimum only. Errors are
+    and the result are built for the returned optimum only. From the second
+    chunk on, when _values_stay_finite holds, the shares are computed only
+    at the points whose leader value could beat the incumbent. Errors are
     those of the point-by-point search: an over-budget grid, then any
     invalid grid point, then the first failing member at the first failing
-    point, or a non-finite leader value there.
+    point, or a non-finite leader value there, then a member whose utility
+    at the optimum is non-finite.
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
-    axes = [np.array(axis) for axis in _axes(domain)]
+    axis_values = _axes(domain)
+    axes = [np.array(axis) for axis in axis_values]
     if not all(np.isfinite(axis).all() for axis in axes):
         enumerate_domain(domain)  # raises the first invalid point's error
     # engagement value is the linear model's (clicks, watch_time, shares)
@@ -206,17 +237,38 @@ def stackelberg_solve(
 
     points = grid_size(domain)
     step = max(1, _CHUNK_EVALUATIONS // len(pop))
+    # A leader value s_c*E_c + s_b*E_b, with shares and engagement values
+    # >= 0, is at most max(E_c, E_b) * (s_c + s_b). Each rounding to nearest
+    # scales a result by at most 1 + u, u = 2**-53, or adds at most 2**-1075
+    # below the normal range. The shares sum to at most (1 + u)**(n + 1) /
+    # (1 - u) for n members (quantal: each member's two probabilities are
+    # normalised by a rounded sum, n of them are summed in any order, then
+    # divided by n; head counts: two rounded quotients), and the value's two
+    # products and its sum add (1 + u)**2. All of it is below 1 + (n + 5)*u,
+    # so the exact factor 1 + (n + 8)*2**-52, with the rounding of the
+    # widened bound, covers it, and adding 2**-1022 covers every underflow.
+    # A point whose widened bound is at most the incumbent's value cannot
+    # beat it by more than tie_tol >= 0, nor the later incumbents, which
+    # are larger.
+    widen = 1.0 + (len(pop) + 8) * 2.0**-52
     best, best_value = None, -math.inf
+    # a second chunk exists; skipping is sound only if no point can fail
+    skip = points > step and _values_stay_finite(tuple(axis[-1] for axis in axis_values), pop, table)
     with np.errstate(all="ignore"):  # failures are found by _chunk_shares and below
         columns = _columns(pop, table)
         for lo in range(0, points, step):
             indices = _grid_indices(domain, lo, min(lo + step, points))
             alpha, beta, gamma = (axis[idx] for axis, idx in zip(axes, indices))
+            e_collab = (alpha * c1 + beta * c2) + gamma * c3
+            e_beef = (alpha * b1 + beta * b2) + gamma * b3
+            if skip and lo:
+                keep = np.flatnonzero(np.maximum(e_collab, e_beef) * widen + 2.0**-1022 > best_value)
+                if not keep.size:
+                    continue
+                alpha, beta, gamma, e_collab, e_beef = (x[keep] for x in (alpha, beta, gamma, e_collab, e_beef))
             s_collab, s_beef, suspects = _chunk_shares(columns, rule, alpha, beta, gamma)
             # algorithm_utility's sum, in its order of operations
-            values = s_collab * ((alpha * c1 + beta * c2) + gamma * c3) + s_beef * (
-                (alpha * b1 + beta * b2) + gamma * b3
-            )
+            values = s_collab * e_collab + s_beef * e_beef
             failed = ~np.isfinite(values)
             if suspects is not None:
                 failed |= suspects.any(axis=1)
@@ -236,7 +288,7 @@ def stackelberg_solve(
 
     best_weights = AlgorithmWeights(*best)
     utilities = {
-        s: sum(creator_utility(best_weights, m, table.profiles[s]) for m in pop.members)
+        s: sum(_member_utility(best_weights, idx, m, table.profiles[s]) for idx, m in enumerate(pop.members))
         / len(pop.members)
         for s in Strategy
     }

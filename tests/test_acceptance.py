@@ -6,9 +6,11 @@ bound where one applies) and printing a single PASS line on success:
     python3 -m pytest tests/test_acceptance.py -v -s
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,10 +198,13 @@ def test_criterion_09_sweep_outputs_byte_identical(tmp_path):
 
 
 def test_criterion_10_example_reproduction_exits_zero():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "creatorgame", "reproduce-examples"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = proc.stdout.strip().splitlines()

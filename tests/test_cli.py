@@ -214,6 +214,43 @@ def test_nonlinear_drama_risk_overflow_exits_invalid(tmp_path, command):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "best-response", "equilibrium", "sweep"])
+def test_oversized_population_grid_exits_invalid(tmp_path, command):
+    # a count this large must be refused before numpy is asked for the array
+    doc = dict(BASELINE, population={"grid": {"min": 0, "max": 1, "count": 10**13}})
+    out_csv = tmp_path / "x.csv"
+    argv = [command, _write_scenario(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--axis1", "delta:0:1:3", "--out", str(out_csv)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "creatorgame", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: scenario.population: count must be <= 10000000, ")
+    assert "Traceback" not in proc.stderr
+    assert not out_csv.exists()
+
+
+def test_equilibrium_non_finite_utility_at_the_optimum_names_the_member(tmp_path, capsys):
+    # Collaboration meets the aspiration everywhere, so the search succeeds;
+    # the member's Beefing utility, -inf from its overflowing risk cost,
+    # fails the mean utilities at the optimum.
+    doc = {
+        "weights": {"alpha": 1, "beta": 1, "gamma": 1},
+        "creator": {"delta": 1e10},
+        "table": {
+            "collaboration": {"clicks": 2, "watch_time": 5, "shares": 3, "drama_risk": 0},
+            "beefing": {"clicks": 5, "watch_time": 2, "shares": 4, "drama_risk": 1e300},
+        },
+        "rule": {"satisficing": {"aspiration": 0}},
+        "domain": {"simplex": {"resolution": 10}},
+    }
+    assert main(["equilibrium", _write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: member 0: creator utility is non-finite (-inf); inputs too extreme\n"
+
+
 def test_sweep_svg_needs_two_axes(tmp_path):
     rc = main(
         [

@@ -2,6 +2,7 @@
 stackelberg_solve, checked against a scalar reference: respond member by member,
 algorithm_utility, and the sequential leader tie rule."""
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -133,6 +134,10 @@ def test_solver_matches_the_scalar_reference(rule_name, mix):
         else:
             assert result.leader_value == value
         assert result.grid_points_evaluated == len(enumerate_domain(domain))
+        assert result.creator_utilities == {
+            s: sum(creator_utility(weights, m, table.profiles[s]) for m in pop.members) / len(pop.members)
+            for s in Strategy
+        }
 
         probe = AlgorithmWeights(*rng.uniform(0.0, 3.0, size=3).tolist())
         _assert_shares_match(
@@ -527,10 +532,16 @@ def _solver_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_solver_cases(), chunk=st.sampled_from([1, 2, 3, 5, 7, 16, 4096]))
-def test_property_chunked_solve_equals_the_reference(case, chunk):
-    with mock.patch.object(leader, "_CHUNK_EVALUATIONS", chunk):
+@given(case=_solver_cases(), chunk=st.sampled_from([1, 2, 3, 5, 7, 16, 4096]), skip=st.booleans())
+def test_property_chunked_solve_equals_the_reference(case, chunk, skip):
+    # skip=False evaluates every point, as when _values_stay_finite fails
+    predicate = leader._values_stay_finite if skip else (lambda *args: False)
+    with mock.patch.object(leader, "_CHUNK_EVALUATIONS", chunk), mock.patch.object(
+        leader, "_values_stay_finite", predicate
+    ), _counting_kernel() as counted:
         _assert_solve_matches(*case[:4], tie_tol=case[4])
+    if not skip:
+        assert sum(counted) == grid_size(case[0])
 
 
 def test_search_memory_is_bounded_by_the_chunk():
@@ -546,3 +557,163 @@ def test_search_memory_is_bounded_by_the_chunk():
     assert grid_size(SimplexDomain(1.0, 1000)) == 501_501
     assert peaks[1000] < 2 << 20
     assert peaks[1000] - peaks[200] < 1 << 18
+
+
+# --- skipping points whose leader-value bound cannot beat the incumbent -------
+
+
+@contextlib.contextmanager
+def _counting_kernel():
+    """Record how many points each of the solve's kernel calls evaluates."""
+    counted = []
+    kernel = leader._chunk_shares
+
+    def counting(columns, rule, alpha, beta, gamma):
+        counted.append(len(alpha))
+        return kernel(columns, rule, alpha, beta, gamma)
+
+    with mock.patch.object(leader, "_chunk_shares", counting):
+        yield counted
+
+
+@pytest.mark.parametrize("rule", [Exact(), Quantal(2.0), Satisficing(4.0)])
+def test_skip_evaluates_fewer_points_and_keeps_the_reference_answer(rule):
+    pop = Population(tuple(CreatorParams(d) for d in np.linspace(0.0, 5.0, 41).tolist()))
+    domain = SimplexDomain(1.0, 60)
+    with _counting_kernel() as counted:
+        result = stackelberg_solve(domain, pop, rule, DEFAULT_TABLE)
+    assert len(counted) > 1 and sum(counted) < grid_size(domain) == result.grid_points_evaluated
+    weights, shares, value = _reference_solve(domain, pop, rule, DEFAULT_TABLE)
+    assert result.weights == weights
+    _assert_shares_match(result.shares, shares, isinstance(rule, Quantal))
+    assert result.leader_value == (pytest.approx(value, abs=1e-12) if isinstance(rule, Quantal) else value)
+
+
+@pytest.mark.parametrize("deltas, domain", [((1.0,), SimplexDomain(1.0, 10)), ((0.5,) * 41, SimplexDomain(1.0, 12))])
+def test_one_chunk_grids_evaluate_every_point(deltas, domain):
+    pop = Population(tuple(CreatorParams(d) for d in deltas))
+    assert grid_size(domain) * len(pop) <= leader._CHUNK_EVALUATIONS
+    with _counting_kernel() as counted:
+        stackelberg_solve(domain, pop, Exact(), DEFAULT_TABLE)
+    assert counted == [grid_size(domain)]
+
+
+def _bound_gaps(domain, pop, rule, table):
+    """For each point after the first, max(E_c, E_b) minus the incumbent's
+    value before it, in ulps of the incumbent, along the scalar reference."""
+    point_mass = {s: StrategyShares({t: float(t is s) for t in Strategy}) for s in Strategy}
+    gaps, incumbent = [], None
+    for weights in enumerate_domain(domain):
+        bound = max(algorithm_utility(weights, point_mass[s], table) for s in Strategy)
+        if incumbent is not None:
+            gaps.append(round((bound - incumbent) / math.ulp(incumbent)))
+        value = algorithm_utility(weights, _reference_shares(pop, rule, weights, table), table)
+        if incumbent is None or value > incumbent:
+            incumbent = value
+    return gaps
+
+
+# Both strategies carry the same engagement, so a point's bound is its
+# leader value when every member collaborates, and the head-count shares of
+# five collaborators and one beefer round that value up by an ulp at some
+# points: the second point of SimplexDomain(0.7, 3) has a bound equal to the
+# incumbent's value, and beats it.
+SAME_ENGAGEMENT = GameTable(
+    {
+        Strategy.COLLABORATION: EngagementProfile(1.0, 1.0, 1.0, 1.0),
+        Strategy.BEEFING: EngagementProfile(1.0, 1.0, 1.0, 0.0),
+    }
+)
+TIGHT_BOUNDS = {
+    "equal-and-wins": (SimplexDomain(0.7, 3), (0.0,) * 5 + (1.0,)),
+    "ulps-above": (SimplexDomain(3.0, 9), (0.0, 0.0)),
+}
+
+
+def test_tight_bound_cases_hold_tight_bounds():
+    for case, (domain, deltas) in TIGHT_BOUNDS.items():
+        pop = Population(tuple(CreatorParams(d) for d in deltas))
+        gaps = _bound_gaps(domain, pop, Exact(), SAME_ENGAGEMENT)
+        assert 0 in gaps  # a bound equal to the incumbent's value
+        if case == "equal-and-wins":
+            winner = stackelberg_solve(domain, pop, Exact(), SAME_ENGAGEMENT, tie_tol=0.0).weights
+            assert winner == enumerate_domain(domain)[1]
+        else:
+            assert any(0 < gap <= 4 for gap in gaps)  # and bounds a few ulps above it
+
+
+@pytest.mark.parametrize("case", sorted(TIGHT_BOUNDS))
+def test_bounds_at_and_just_above_the_incumbent(chunk_size, case):
+    domain, deltas = TIGHT_BOUNDS[case]
+    pop = Population(tuple(CreatorParams(d) for d in deltas))
+    for tie_tol in (0.0, LEADER_TIE_TOLERANCE, 1.0, 2.0):
+        for rule in (Exact(), Exact(0.0), Quantal(0.0)):
+            _assert_solve_matches(domain, pop, rule, SAME_ENGAGEMENT, tie_tol=tie_tol)
+
+
+def _found_table(collab_watch=1.0):
+    # A linear member with delta 1e10 (or any nonlinear member) has a Beefing
+    # utility of -inf at every point: its risk cost overflows.
+    return GameTable(
+        {
+            Strategy.COLLABORATION: EngagementProfile(0.0, collab_watch, 1.0, 0.0),
+            Strategy.BEEFING: EngagementProfile(0.0, 0.0, 0.0, 1e300),
+        }
+    )
+
+
+# Inputs under which _values_stay_finite fails, so every point is evaluated:
+# (table, domain, (delta, model) of each member, rule).
+EXTREME = {
+    # engagement sums near the largest float; every value stays finite
+    "huge-box": (
+        DEFAULT_TABLE,
+        BoxDomain(1e307, 1e307, 1e307, resolution=4),
+        ((0.5, LINEAR), (2.0, NONLINEAR)),
+        Exact(),
+    ),
+    # the search succeeds; the mean Beefing utility at the optimum fails
+    "optimum-utility": (_found_table(), SimplexDomain(1.0, 4), ((1e10, LINEAR),), Satisficing(0.0)),
+    # Member 1 (linear) falls below the aspiration, and so evaluates its
+    # -inf Beefing utility, only where watch time dominates: far from the
+    # incumbent (0, 0, 1), at points whose bounds are below its value.
+    "late-member": (
+        _found_table(0.25),
+        SimplexDomain(1.0, 10),
+        ((1.0, NONLINEAR), (1e10, LINEAR)),
+        Satisficing(0.4),
+    ),
+}
+
+
+def _fails(pop, rule, weights, table):
+    try:
+        _reference_shares(pop, rule, weights, table)
+    except InvalidScenarioError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME))
+def test_extreme_inputs_evaluate_every_point(chunk_size, case):
+    table, domain, members, rule = EXTREME[case]
+    pop = Population(tuple(CreatorParams(delta, model) for delta, model in members))
+    assert not leader._values_stay_finite(tuple(axis[-1] for axis in leader._axes(domain)), pop, table)
+    points = enumerate_domain(domain)
+    failing = [p for p, weights in enumerate(points) if _fails(pop, rule, weights, table)]
+    with _counting_kernel() as counted:
+        if case == "huge-box":
+            _assert_solve_matches(domain, pop, rule, table)
+        else:
+            with pytest.raises(InvalidScenarioError) as info:
+                stackelberg_solve(domain, pop, rule, table)
+    if case == "optimum-utility":
+        assert not failing
+        assert str(info.value) == "member 0: creator utility is non-finite (-inf); inputs too extreme"
+    elif case == "late-member":
+        expected = _reference_error(lambda: _reference_solve(domain, pop, rule, table))
+        assert expected.startswith("member 1: ") and failing[0] > 0
+        assert str(info.value) == expected
+    # every point, or every point up to the end of the chunk holding the first failure
+    step = max(1, chunk_size // len(pop))
+    assert sum(counted) == (min(len(points), (failing[0] // step + 1) * step) if failing else len(points))

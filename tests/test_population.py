@@ -7,6 +7,7 @@ from creatorgame import (
     AlgorithmWeights,
     CreatorParams,
     DEFAULT_TABLE,
+    MAX_GRID_EVALUATIONS,
     Exact,
     InvalidScenarioError,
     Population,
@@ -62,6 +63,13 @@ def test_delta_grid_population_rejects_bad_ranges():
         make_delta_grid_population(-1.0, 1.0, 3)
     with pytest.raises(InvalidScenarioError):
         make_delta_grid_population(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("count", [MAX_GRID_EVALUATIONS + 1, 10**13])
+def test_delta_grid_population_refuses_counts_no_search_could_take(count):
+    # refused before numpy is asked for the array, so nothing is allocated
+    with pytest.raises(InvalidScenarioError, match=r"^count must be <= 10000000, the limit"):
+        make_delta_grid_population(0.0, 1.0, count)
 
 
 def test_shares_sum_to_one_under_every_rule():

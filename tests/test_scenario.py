@@ -1,12 +1,14 @@
 """Scenario document parsing: strict validation, defaults, presets."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from creatorgame import (
     BoxDomain,
     Exact,
+    MAX_GRID_EVALUATIONS,
     PRESETS,
     Quantal,
     Satisficing,
@@ -95,6 +97,19 @@ def test_population_grid():
     doc = dict(MINIMAL, population={"grid": {"min": 0, "max": 4, "count": 5}})
     scenario = parse_scenario(doc)
     assert [m.delta for m in scenario.population.members] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("count", [MAX_GRID_EVALUATIONS + 1, 10**13, 10**100])
+def test_population_grid_count_is_bounded_before_allocating(count):
+    doc = dict(MINIMAL, population={"grid": {"min": 0, "max": 1, "count": count}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"^scenario\.population: count must be <= 10000000, the limit"):
+            parse_scenario(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_population_exactly_one_form():
