@@ -36,7 +36,6 @@ from .population import (
     Population,
     StrategyShares,
     make_delta_grid_population,
-    point_mass_shares,
     population_shares,
 )
 from .leader import (
@@ -119,7 +118,6 @@ __all__ = [
     "load_scenario",
     "make_delta_grid_population",
     "parse_scenario",
-    "point_mass_shares",
     "population_shares",
     "preset_scenario",
     "region_boundary",

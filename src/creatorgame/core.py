@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
 from typing import Mapping
 
 
@@ -36,22 +35,15 @@ def _checked(name: str, value: float, minimum: float | None = 0.0) -> float:
     return value
 
 
-@total_ordering
 class Strategy(Enum):
     """The two creator strategies.
 
-    COLLABORATION sorts first; that order is used everywhere a deterministic
-    tie-break or iteration order is needed.
+    COLLABORATION iterates first; that order is used everywhere a
+    deterministic tie-break or iteration order is needed.
     """
 
     COLLABORATION = "Collaboration"
     BEEFING = "Beefing"
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Strategy):
-            return NotImplemented
-        members = list(Strategy)
-        return members.index(self) < members.index(other)
 
 
 class UtilityModel(Enum):
@@ -98,9 +90,6 @@ class GameTable:
                 raise InvalidScenarioError(
                     f"profile for {strategy.value} must be an EngagementProfile"
                 )
-
-    def profile(self, strategy: Strategy) -> EngagementProfile:
-        return self.profiles[strategy]
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def stackelberg_solve(
     those of the point-by-point search: an over-budget grid, then any
     invalid grid point, then the first failing member at the first failing
     point, or a non-finite leader value there, then a member whose utility
-    at the optimum is non-finite.
+    at the optimum is non-finite, then a non-finite population-mean utility.
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
@@ -292,6 +292,11 @@ def stackelberg_solve(
         / len(pop.members)
         for s in Strategy
     }
+    for s, value in utilities.items():  # the sum of finite member utilities can overflow
+        if not math.isfinite(value):
+            raise InvalidScenarioError(
+                f"population-mean {s.value} utility is non-finite ({value!r}); inputs too extreme"
+            )
     return EquilibriumResult(
         weights=best_weights,
         shares=population_shares(pop, rule, best_weights, table),

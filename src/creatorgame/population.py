@@ -67,10 +67,6 @@ class StrategyShares:
             raise InvalidScenarioError(f"shares sum to {total!r}, not 1")
 
 
-def point_mass_shares(strategy: Strategy) -> StrategyShares:
-    return StrategyShares({s: (1.0 if s is strategy else 0.0) for s in Strategy})
-
-
 class _Columns(NamedTuple):
     """Per-member feature columns of a population against one table: f1, f2,
     f3 and risk_cost (delta * r) each have shape (2, members), row 0 for

@@ -10,7 +10,7 @@ two-axis sweeps, as a deterministic SVG region map.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -27,6 +27,7 @@ from .core import (
     creator_utility,
     features,
 )
+from .population import MAX_GRID_EVALUATIONS
 from .response import Exact, switching_delta
 
 SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
@@ -62,6 +63,11 @@ class SweepAxis:
         object.__setattr__(self, "hi", hi)
         if not isinstance(self.steps, int) or self.steps < 1:
             raise InvalidScenarioError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if self.steps > MAX_GRID_EVALUATIONS:  # refused before anything is allocated
+            raise InvalidScenarioError(
+                f"{self.name} axis steps must be <= {MAX_GRID_EVALUATIONS}, "
+                f"the limit of grid evaluations, got {self.steps}"
+            )
 
     def values(self) -> list[float]:
         return [float(v) for v in np.linspace(self.lo, self.hi, self.steps)]
@@ -72,7 +78,8 @@ class SweepSpec:
     """Axes plus the fixed scenario supplying every non-swept value.
 
     Sweeps map exact best responses only; rule.tie_tol sets the band of
-    gaps that count as a tie and go to collaboration."""
+    gaps that count as a tie and go to collaboration. The lattice may hold
+    at most MAX_GRID_EVALUATIONS cells."""
 
     axis1: SweepAxis
     axis2: SweepAxis | None
@@ -86,6 +93,11 @@ class SweepSpec:
             raise InvalidScenarioError(f"axis1 and axis2 both sweep {self.axis1.name!r}")
         if not isinstance(self.rule, Exact):
             raise InvalidScenarioError(f"sweeps use the exact rule only, got {self.rule!r}")
+        if self.axis2 is not None and self.axis1.steps * self.axis2.steps > MAX_GRID_EVALUATIONS:
+            raise InvalidScenarioError(
+                f"{self.axis1.steps} x {self.axis2.steps} = {self.axis1.steps * self.axis2.steps} sweep cells "
+                f"exceeds the limit of {MAX_GRID_EVALUATIONS}; lower the steps"
+            )
 
 
 @dataclass(frozen=True)
@@ -225,87 +237,57 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _columns(cells: Sequence[SweepCell]) -> SweepResult:
-    """A SweepResult as it is; any other sequence of cells as columns in
-    which each cell keeps its own swept values."""
-    if isinstance(cells, SweepResult):
-        return cells
-    names = tuple(cells[0].param_values)
-    return SweepResult(
-        names=names,
-        values=tuple(np.array([cell.param_values[name] for cell in cells], dtype=float) for name in names),
-        position=np.tile(np.arange(len(cells)), (len(names), 1)),
-        u_collab=np.array([cell.utilities[Strategy.COLLABORATION] for cell in cells], dtype=float),
-        u_beef=np.array([cell.utilities[Strategy.BEEFING] for cell in cells], dtype=float),
-        gap=np.array([cell.gap for cell in cells], dtype=float),
-        beefing=np.array([cell.chosen is Strategy.BEEFING for cell in cells], dtype=bool),
-    )
-
-
-def _lattice(cells: Sequence[SweepCell]) -> SweepResult:
-    """The 2-axis lattice of the cells: a SweepResult's own axes, or for any
-    other sequence the distinct values along each axis, which must tile it."""
-    if not len(cells):
-        raise MalformedLatticeError("no cells")
-    columns = _columns(cells)
-    if len(columns.names) != 2:
-        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(columns.names)}")
-    if columns is cells:
-        return columns
-    values = [np.array(sorted(set(axis_values.tolist()))) for axis_values in columns.values]
-    if len(cells) != len(values[0]) * len(values[1]):
-        raise MalformedLatticeError(
-            f"{len(cells)} cells cannot tile a {len(values[0])}x{len(values[1])} lattice"
-        )
-    position = np.array([np.searchsorted(axis, cell_values) for axis, cell_values in zip(values, columns.values)])
-    return replace(columns, values=tuple(values), position=position)
-
-
-def emit_csv(cells: Sequence[SweepCell], sink: BinaryIO) -> None:
-    """Write a header row then one row per cell.
+def emit_csv(cells: SweepResult, sink: BinaryIO) -> None:
+    """Write a header row then one row per cell of a run_sweep result.
 
     Columns: the swept parameter names (sorted), then u_collab, u_beef,
     gap, chosen. Reals use 9 significant digits; chosen is the strategy
-    name; rows end with LF.
+    name; rows end with LF. Any input but a SweepResult raises TypeError.
     """
+    if not isinstance(cells, SweepResult):
+        raise TypeError(f"emit_csv takes the SweepResult of run_sweep, got {type(cells).__name__}")
     if not len(cells):
         raise InvalidScenarioError("no cells to emit")
-    columns = _columns(cells)
-    order = sorted(range(len(columns.names)), key=columns.names.__getitem__)
+    order = sorted(range(len(cells.names)), key=cells.names.__getitem__)
     params = [
-        np.array([_fmt(v) for v in columns.values[a].tolist()], dtype=object)[columns.position[a]].tolist()
+        np.array([_fmt(v) for v in cells.values[a].tolist()], dtype=object)[cells.position[a]].tolist()
         for a in order
     ]
     chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
     # "%.9g" formats a float exactly as _fmt does.
     row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
-    lines = [",".join([columns.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])]
+    lines = [",".join([cells.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])]
     lines += map(
         row.__mod__,
         zip(
             *params,
-            columns.u_collab.tolist(),
-            columns.u_beef.tolist(),
-            columns.gap.tolist(),
-            chosen[columns.beefing.astype(np.intp)].tolist(),
+            cells.u_collab.tolist(),
+            cells.u_beef.tolist(),
+            cells.gap.tolist(),
+            chosen[cells.beefing.astype(np.intp)].tolist(),
         ),
     )
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def emit_region_svg(cells: Sequence[SweepCell], sink: BinaryIO) -> None:
-    """Write a standalone SVG region map for a complete 2-axis lattice.
+def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
+    """Write a standalone SVG region map of a 2-axis run_sweep result.
 
-    One filled rectangle per cell, colored by the chosen strategy
-    (collaboration green, beefing red); axes are labeled with the parameter
-    names and their ranges. Output is byte-deterministic for identical
-    input. A run_sweep result brings its own axes; for any other sequence
-    of cells the grid dimensions are inferred from the distinct values
-    along each axis, and a count mismatch raises MalformedLatticeError.
+    One filled rectangle per cell of the steps1 x steps2 lattice, colored
+    by the chosen strategy (collaboration green, beefing red); axes are
+    labeled with the parameter names and their ranges. Output is
+    byte-deterministic for identical input. Any input but a SweepResult
+    raises TypeError; an empty or one-axis result raises
+    MalformedLatticeError.
     """
-    lattice = _lattice(cells)
-    name1, name2 = lattice.names
-    values1, values2 = lattice.values
+    if not isinstance(cells, SweepResult):
+        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
+    if not len(cells):
+        raise MalformedLatticeError("no cells")
+    if len(cells.names) != 2:
+        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(cells.names)}")
+    name1, name2 = cells.names
+    values1, values2 = cells.values
 
     width, height = 640, 480
     left, right, top, bottom = 90.0, 620.0, 30.0, 420.0
@@ -325,7 +307,7 @@ def emit_region_svg(cells: Sequence[SweepCell], sink: BinaryIO) -> None:
         ],
         dtype=object,
     )
-    rects = heads[lattice.position[0]] + tails[lattice.beefing.astype(np.intp), lattice.position[1]]
+    rects = heads[cells.position[0]] + tails[cells.beefing.astype(np.intp), cells.position[1]]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

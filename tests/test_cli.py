@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -251,7 +252,58 @@ def test_equilibrium_non_finite_utility_at_the_optimum_names_the_member(tmp_path
     assert captured.err == "error: member 0: creator utility is non-finite (-inf); inputs too extreme\n"
 
 
-def test_sweep_svg_needs_two_axes(tmp_path):
+def test_equilibrium_overflowing_mean_utility_names_the_strategy(tmp_path, capsys):
+    # each member's Collaboration utility is 1e308; their sum overflows
+    doc = {
+        "weights": {"alpha": 1, "beta": 1, "gamma": 1},
+        "creator": {"delta": 1},
+        "table": {
+            "collaboration": {"clicks": 1e308, "watch_time": 0, "shares": 0, "drama_risk": 0},
+            "beefing": {"clicks": 0, "watch_time": 0, "shares": 0, "drama_risk": 1},
+        },
+        "population": {"deltas": [1, 2]},
+        "domain": {"simplex": {"total": 1, "resolution": 2}},
+    }
+    assert main(["equilibrium", _write_scenario(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: population-mean Collaboration utility is non-finite (inf); inputs too extreme\n"
+
+
+OVERSIZED_SWEEPS = {
+    "two-axes": (
+        ["--axis1", "alpha:0:1:1000000", "--axis2", "delta:0:1:1000000"],
+        "error: 1000000 x 1000000 = 1000000000000 sweep cells exceeds the limit of 10000000; lower the steps\n",
+    ),
+    "one-axis": (
+        ["--axis1", "delta:0:1:10000001"],
+        "error: delta axis steps must be <= 10000000, the limit of grid evaluations, got 10000001\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_SWEEPS))
+def test_oversized_sweep_exits_invalid_before_allocating(tmp_path, capsys, case):
+    axes, message = OVERSIZED_SWEEPS[case]
+    argv = ["sweep", "example1", *axes, "--out", str(tmp_path / "x.csv")]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == message
+    assert peak < 2**20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "creatorgame", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_svg_needs_two_axes(tmp_path, capsys):
     rc = main(
         [
             "sweep", "example1",
@@ -261,6 +313,7 @@ def test_sweep_svg_needs_two_axes(tmp_path):
         ]
     )
     assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: cells must come from a 2-axis sweep, got axes ['delta']\n"
     assert list(tmp_path.iterdir()) == []  # no partial output
 
 

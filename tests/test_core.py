@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import creatorgame
 from creatorgame import (
     AlgorithmWeights,
     CreatorParams,
@@ -156,5 +157,17 @@ def test_overflowing_utility_signals_invalid_scenario():
 
 def test_strategy_ordering_collaboration_first():
     assert list(Strategy) == [Strategy.COLLABORATION, Strategy.BEEFING]
-    assert Strategy.COLLABORATION < Strategy.BEEFING
-    assert sorted([Strategy.BEEFING, Strategy.COLLABORATION])[0] is Strategy.COLLABORATION
+    # the order is the Enum's iteration order; strategies do not compare
+    with pytest.raises(TypeError):
+        Strategy.COLLABORATION < Strategy.BEEFING
+    with pytest.raises(TypeError):
+        sorted([Strategy.BEEFING, Strategy.COLLABORATION])
+
+
+def test_public_api_names_are_sorted_unique_and_resolve():
+    names = creatorgame.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(creatorgame, name)] == []
+    assert "point_mass_shares" not in names
+    assert not hasattr(creatorgame, "point_mass_shares")

@@ -665,7 +665,15 @@ def _found_table(collab_watch=1.0):
 # Inputs under which _values_stay_finite fails, so every point is evaluated:
 # (table, domain, (delta, model) of each member, rule).
 EXTREME = {
-    # engagement sums near the largest float; every value stays finite
+    # engagement sums within a factor 4 of the largest float; every value stays finite
+    "large-box": (
+        DEFAULT_TABLE,
+        BoxDomain(8e306, 8e306, 8e306, resolution=4),
+        ((0.5, LINEAR), (2.0, NONLINEAR)),
+        Exact(),
+    ),
+    # engagement sums near the largest float; the search succeeds, and each
+    # member's utility is finite, but their mean Beefing utility overflows
     "huge-box": (
         DEFAULT_TABLE,
         BoxDomain(1e307, 1e307, 1e307, resolution=4),
@@ -702,7 +710,7 @@ def test_extreme_inputs_evaluate_every_point(chunk_size, case):
     points = enumerate_domain(domain)
     failing = [p for p, weights in enumerate(points) if _fails(pop, rule, weights, table)]
     with _counting_kernel() as counted:
-        if case == "huge-box":
+        if case == "large-box":
             _assert_solve_matches(domain, pop, rule, table)
         else:
             with pytest.raises(InvalidScenarioError) as info:
@@ -710,6 +718,9 @@ def test_extreme_inputs_evaluate_every_point(chunk_size, case):
     if case == "optimum-utility":
         assert not failing
         assert str(info.value) == "member 0: creator utility is non-finite (-inf); inputs too extreme"
+    elif case == "huge-box":
+        assert not failing
+        assert str(info.value) == "population-mean Beefing utility is non-finite (inf); inputs too extreme"
     elif case == "late-member":
         expected = _reference_error(lambda: _reference_solve(domain, pop, rule, table))
         assert expected.startswith("member 1: ") and failing[0] > 0

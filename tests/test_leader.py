@@ -22,12 +22,13 @@ from creatorgame import (
     creator_utility,
     delta_sensitivity,
     enumerate_domain,
-    point_mass_shares,
     population_shares,
     stackelberg_solve,
 )
 
 W_VIRAL = AlgorithmWeights(2.5, 0.5, 2.0)
+ALL_COLLAB = StrategyShares({Strategy.COLLABORATION: 1.0, Strategy.BEEFING: 0.0})
+ALL_BEEF = StrategyShares({Strategy.COLLABORATION: 0.0, Strategy.BEEFING: 1.0})
 
 
 def _brute_force_single_creator(domain, creator, table, tie_tol=1e-9):
@@ -53,11 +54,9 @@ def _brute_force_single_creator(domain, creator, table, tie_tol=1e-9):
 
 
 def test_algorithm_utility_hand_values():
-    beef_mass = point_mass_shares(Strategy.BEEFING)
-    assert algorithm_utility(W_VIRAL, beef_mass, DEFAULT_TABLE) == pytest.approx(21.5, abs=1e-12)
-    collab_mass = point_mass_shares(Strategy.COLLABORATION)
+    assert algorithm_utility(W_VIRAL, ALL_BEEF, DEFAULT_TABLE) == pytest.approx(21.5, abs=1e-12)
     assert algorithm_utility(
-        AlgorithmWeights(1.0, 2.0, 1.5), collab_mass, DEFAULT_TABLE
+        AlgorithmWeights(1.0, 2.0, 1.5), ALL_COLLAB, DEFAULT_TABLE
     ) == pytest.approx(16.5, abs=1e-12)
     zero = AlgorithmWeights(0.0, 0.0, 0.0)
     mixed = StrategyShares({Strategy.COLLABORATION: 0.25, Strategy.BEEFING: 0.75})
@@ -71,10 +70,8 @@ def test_drama_risk_never_enters_leader_value():
             Strategy.BEEFING: EngagementProfile(5.0, 2.0, 4.0, 9.0),
         }
     )
-    for s in Strategy:
-        assert algorithm_utility(W_VIRAL, point_mass_shares(s), risky) == algorithm_utility(
-            W_VIRAL, point_mass_shares(s), DEFAULT_TABLE
-        )
+    for shares in (ALL_COLLAB, ALL_BEEF):
+        assert algorithm_utility(W_VIRAL, shares, risky) == algorithm_utility(W_VIRAL, shares, DEFAULT_TABLE)
 
 
 def test_enumerate_simplex_n1_order():
@@ -241,3 +238,17 @@ def test_domain_validation():
         BoxDomain(1.0, 0.0, 1.0, resolution=5)
     with pytest.raises(InvalidScenarioError):
         BoxDomain(1.0, 1.0, 1.0, resolution=-1)
+
+
+def test_overflowing_population_mean_utility_names_the_strategy():
+    # each member's Collaboration utility is finite (1e308), but their sum is not
+    table = GameTable(
+        {
+            Strategy.COLLABORATION: EngagementProfile(1e308, 0.0, 0.0, 0.0),
+            Strategy.BEEFING: EngagementProfile(0.0, 0.0, 0.0, 1.0),
+        }
+    )
+    pop = Population((CreatorParams(1.0), CreatorParams(2.0)))
+    with pytest.raises(InvalidScenarioError) as info:
+        stackelberg_solve(SimplexDomain(1.0, 2), pop, Exact(), table)
+    assert str(info.value) == "population-mean Collaboration utility is non-finite (inf); inputs too extreme"

@@ -14,6 +14,7 @@ from creatorgame import (
     Exact,
     GameTable,
     InvalidScenarioError,
+    MAX_GRID_EVALUATIONS,
     MalformedLatticeError,
     Quantal,
     Satisficing,
@@ -159,6 +160,44 @@ def _reference_csv(cells):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _reference_svg(spec, cells):
+    """SVG bytes written cell by cell: one rect per cell of the
+    spec.axis1 x spec.axis2 lattice, axis1 outer and axis2 inner."""
+    values1, values2 = spec.axis1.values(), spec.axis2.values()
+    left, right, top, bottom = 90.0, 620.0, 30.0, 420.0
+    cell_w, cell_h = (right - left) / len(values1), (bottom - top) / len(values2)
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">']
+    for k, cell in enumerate(cells):
+        i, j = divmod(k, len(values2))
+        color = BEEFING_COLOR if cell.chosen is Strategy.BEEFING else COLLABORATION_COLOR
+        lines.append(
+            f'<rect x="{left + i * cell_w:.2f}" y="{bottom - (j + 1) * cell_h:.2f}" '
+            f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="{color}"/>'
+        )
+    lines.append(
+        '<text x="355.00" y="466" text-anchor="middle" font-size="14" font-family="sans-serif">'
+        f'{spec.axis1.name}: {values1[0]:.9g} to {values1[-1]:.9g}</text>'
+    )
+    lines.append(
+        '<text x="20" y="225.00" text-anchor="middle" font-size="14" font-family="sans-serif" '
+        f'transform="rotate(-90 20 225.00)">{spec.axis2.name}: {values2[0]:.9g} to {values2[-1]:.9g}</text>'
+    )
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _empty(result):
+    """The result with every per-cell column cut to no cells."""
+    return dataclasses.replace(
+        result,
+        position=result.position[:, :0],
+        u_collab=result.u_collab[:0],
+        u_beef=result.u_beef[:0],
+        gap=result.gap[:0],
+        beefing=result.beefing[:0],
+    )
+
+
 def _emitted(emit, cells):
     sink = io.BytesIO()
     emit(cells, sink)
@@ -202,8 +241,7 @@ def test_columnar_kernel_matches_scalar_path_bit_for_bit():
                 assert not result.beefing.any()  # ties go to collaboration
             assert _emitted(emit_csv, result) == _reference_csv(reference)
             if len(axes) == 2:
-                # the result's own axes and inference from the cells draw the same map
-                assert _emitted(emit_region_svg, result) == _emitted(emit_region_svg, reference)
+                assert _emitted(emit_region_svg, result) == _reference_svg(spec, reference)
 
 
 def test_invalid_cells_raise_the_first_scalar_error():
@@ -261,8 +299,18 @@ def test_emit_csv_golden_bytes():
 
 
 def test_emit_csv_empty_is_an_error():
-    with pytest.raises(InvalidScenarioError):
-        emit_csv([], io.BytesIO())
+    empty = _empty(run_sweep(_spec(SweepAxis("delta", 0.0, 4.0, 5))))
+    assert len(empty) == 0
+    with pytest.raises(InvalidScenarioError, match="^no cells to emit$"):
+        emit_csv(empty, io.BytesIO())
+
+
+def test_emitters_take_only_a_sweep_result():
+    cells = run_sweep(_spec(SweepAxis("alpha", 0.0, 2.0, 3), axis2=SweepAxis("delta", 0.0, 4.0, 3)))
+    for emit in (emit_csv, emit_region_svg):
+        for cell_list in (list(cells), cells[:-1], cells[:], []):
+            with pytest.raises(TypeError, match=f"^{emit.__name__} takes the SweepResult of run_sweep, got list$"):
+                emit(cell_list, io.BytesIO())
 
 
 def test_emit_csv_line_count_and_lf():
@@ -347,6 +395,18 @@ def test_svg_rect_count_and_colors():
     assert svg.startswith("<svg")
     assert "alpha: 0 to 1" in svg
     assert "gamma: 0 to 1" in svg
+    assert sink.getvalue() == (
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">\n'
+        b'<rect x="90.00" y="225.00" width="265.00" height="195.00" fill="#4f9d69"/>\n'
+        b'<rect x="90.00" y="30.00" width="265.00" height="195.00" fill="#c0504d"/>\n'
+        b'<rect x="355.00" y="225.00" width="265.00" height="195.00" fill="#c0504d"/>\n'
+        b'<rect x="355.00" y="30.00" width="265.00" height="195.00" fill="#c0504d"/>\n'
+        b'<text x="355.00" y="466" text-anchor="middle" font-size="14" '
+        b'font-family="sans-serif">alpha: 0 to 1</text>\n'
+        b'<text x="20" y="225.00" text-anchor="middle" font-size="14" font-family="sans-serif" '
+        b'transform="rotate(-90 20 225.00)">gamma: 0 to 1</text>\n'
+        b"</svg>\n"
+    )
 
 
 def test_svg_degenerate_single_cell_lattice():
@@ -354,12 +414,9 @@ def test_svg_degenerate_single_cell_lattice():
     sink = io.BytesIO()
     emit_region_svg(run_sweep(spec), sink)
     assert sink.getvalue().decode().count("<rect") == 1
-    # lo == hi with several steps: a sweep result keeps its axes' step counts,
-    # while a plain list of its cells cannot be told apart from a 1x2 lattice
+    # lo == hi with several steps: the result keeps its axes' step counts
     cells = run_sweep(_spec(SweepAxis("alpha", 0.5, 0.5, 3), axis2=SweepAxis("delta", 0.0, 2.0, 2)))
     assert _emitted(emit_region_svg, cells).decode().count("<rect") == 6
-    with pytest.raises(MalformedLatticeError):
-        emit_region_svg(list(cells), io.BytesIO())
 
 
 def test_svg_is_byte_deterministic():
@@ -371,15 +428,12 @@ def test_svg_is_byte_deterministic():
 
 
 def test_svg_rejects_malformed_lattices():
-    spec = _spec(SweepAxis("alpha", 0.0, 2.0, 3), axis2=SweepAxis("delta", 0.0, 4.0, 3))
-    cells = run_sweep(spec)
-    with pytest.raises(MalformedLatticeError):
-        emit_region_svg(cells[:-1], io.BytesIO())
     one_axis = run_sweep(_spec(SweepAxis("delta", 0.0, 4.0, 5)))
-    with pytest.raises(MalformedLatticeError):
+    with pytest.raises(MalformedLatticeError, match=r"^cells must come from a 2-axis sweep, got axes \['delta'\]$"):
         emit_region_svg(one_axis, io.BytesIO())
-    with pytest.raises(MalformedLatticeError):
-        emit_region_svg([], io.BytesIO())
+    cells = run_sweep(_spec(SweepAxis("alpha", 0.0, 2.0, 3), axis2=SweepAxis("delta", 0.0, 4.0, 3)))
+    with pytest.raises(MalformedLatticeError, match="^no cells$"):
+        emit_region_svg(_empty(cells), io.BytesIO())
 
 
 def test_axis_and_spec_validation():
@@ -391,3 +445,12 @@ def test_axis_and_spec_validation():
         SweepAxis("delta", 0.0, 1.0, 0)
     with pytest.raises(InvalidScenarioError):
         _spec(SweepAxis("delta", 0.0, 1.0, 2), axis2=SweepAxis("delta", 0.0, 2.0, 2))
+    # the lattice budget: checked when the axes and the spec are built
+    SweepAxis("delta", 0.0, 1.0, MAX_GRID_EVALUATIONS)
+    too_many = r"^delta axis steps must be <= 10000000, the limit of grid evaluations, got 10000001$"
+    with pytest.raises(InvalidScenarioError, match=too_many):
+        SweepAxis("delta", 0.0, 1.0, MAX_GRID_EVALUATIONS + 1)
+    _spec(SweepAxis("alpha", 0.0, 1.0, 10**4), axis2=SweepAxis("delta", 0.0, 1.0, 10**3))
+    too_many = r"^10000 x 1001 = 10010000 sweep cells exceeds the limit of 10000000; lower the steps$"
+    with pytest.raises(InvalidScenarioError, match=too_many):
+        _spec(SweepAxis("alpha", 0.0, 1.0, 10**4), axis2=SweepAxis("delta", 0.0, 1.0, 1001))
