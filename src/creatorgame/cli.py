@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import io
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 from .core import (
     AlgorithmWeights,
@@ -38,7 +39,7 @@ from .core import (
 from .leader import check_grid_budget, stackelberg_solve
 from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
-from .sweep import SweepAxis, SweepSpec, _fmt, emit_csv, emit_region_svg, run_sweep
+from .sweep import SweepAxis, SweepResult, SweepSpec, _check_region_lattice, _fmt, emit_csv, emit_region_svg, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -105,18 +106,18 @@ def _parse_axis(flag: str) -> SweepAxis:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}") from exc
 
 
-def _write_all(outputs: list[tuple[str, bytes]]) -> None:
-    """Write each output to a temporary file beside its target, then move
-    them into place only once every write has succeeded."""
+def _write_all(cells: SweepResult, outputs: list[tuple[str, Callable[[SweepResult, BinaryIO], None]]]) -> None:
+    """Emit the cells straight into a temporary file beside each output's
+    target, then move them into place only once every output is written."""
     temps = []
     try:
-        for path, data in outputs:
+        for path, emit in outputs:
             if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
                 raise IsADirectoryError(errno.EISDIR, "is a directory", path)
             temp = f"{path}.{os.urandom(6).hex()}.tmp"
             with open(temp, "xb") as sink:
                 temps.append(temp)
-                sink.write(data)
+                emit(cells, sink)
         for temp, (path, _) in zip(temps, outputs):
             os.replace(temp, path)
     finally:
@@ -137,13 +138,9 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         rule=scenario.rule,
     )
     cells = run_sweep(spec)
-    outputs = []
-    for path, emit in ((out, emit_csv), (svg, emit_region_svg)):
-        if path is not None:
-            sink = io.BytesIO()
-            emit(cells, sink)
-            outputs.append((path, sink.getvalue()))
-    _write_all(outputs)
+    if svg is not None:
+        _check_region_lattice(cells)  # before anything is emitted or written
+    _write_all(cells, [(path, emit) for path, emit in ((out, emit_csv), (svg, emit_region_svg)) if path is not None])
     print(f"rows={len(cells)}")
     return EXIT_OK
 

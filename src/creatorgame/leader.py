@@ -5,7 +5,8 @@ population's responses; drama risk never enters it. The raw argmax over
 weights is unbounded (the objective is linear in the weights), so the
 search runs over a compact domain: by default the unit simplex
 alpha + beta + gamma = 1, which is enough because best responses are
-invariant to rescaling all of (alpha, beta, gamma, delta).
+invariant to rescaling all of (alpha, beta, gamma, delta), for gaps
+outside the absolute tie band at both scales.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .population import (
     _chunk_shares,
     _columns,
     _raise_member_error,
-    population_shares,
+    population_shares,  # not called here; kept importable as leader.population_shares
 )
 from .response import ResponseRule
 
@@ -45,6 +46,11 @@ LEADER_TIE_TOLERANCE = 1e-9
 # Largest points x members one chunk of the search evaluates at once; it
 # bounds the search's working memory, whatever the grid size.
 _CHUNK_EVALUATIONS = 4096
+
+# Grid points whose weights, engagement values and leader-value bounds a
+# search that skips points computes at once (rounded down to whole chunks,
+# at least one); it bounds the rest of the search's working memory.
+_BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -214,22 +220,29 @@ def stackelberg_solve(
     (within tie_tol) keep the earliest point in enumeration order, so the
     result is independent of evaluation parallelism.
 
-    The grid is evaluated in chunks of at most _CHUNK_EVALUATIONS points x
-    members (but at least one point), as arrays, with population_shares'
-    semantics, and the tie rule runs over each chunk's values; weights, shares
-    and the result are built for the returned optimum only. From the second
-    chunk on, when _values_stay_finite holds, the shares are computed only
-    at the points whose leader value could beat the incumbent. Errors are
-    those of the point-by-point search: an over-budget grid, then any
-    invalid grid point, then the first failing member at the first failing
-    point, or a non-finite leader value there, then a member whose utility
-    at the optimum is non-finite, then a non-finite population-mean utility.
+    The grid is walked in chunks of at most _CHUNK_EVALUATIONS points x
+    members (but at least one point), in grid order; the member kernel
+    evaluates a chunk as arrays, with population_shares' semantics, and the
+    tie rule runs over its values. When the grid has a second chunk and
+    _values_stay_finite holds, points that cannot beat the incumbent are
+    skipped: the weights, engagement values and leader-value bounds of a
+    block of about _BLOCK_POINTS points are computed once, and each chunk
+    holds the block's next points whose bound still beats the incumbent,
+    re-filtered after each chunk. Otherwise each chunk holds the grid's
+    next points.
+    Weights, shares (kept from the kernel's output) and the result are built
+    for the returned optimum only. Errors are those of the point-by-point
+    search: an over-budget grid, then any invalid grid point, then the first
+    failing member at the first failing point, or a non-finite leader value
+    there, then a member whose utility at the optimum is non-finite, then a
+    non-finite population-mean utility.
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
     axis_values = _axes(domain)
     axes = [np.array(axis) for axis in axis_values]
-    if not all(np.isfinite(axis).all() for axis in axes):
+    # i * bound / n grows with i, so an axis is finite if its last value is
+    if not all(math.isfinite(axis[-1]) for axis in axis_values):
         enumerate_domain(domain)  # raises the first invalid point's error
     # engagement value is the linear model's (clicks, watch_time, shares)
     c1, c2, c3, _ = features(table.profiles[Strategy.COLLABORATION], UtilityModel.LINEAR)
@@ -251,40 +264,57 @@ def stackelberg_solve(
     # beat it by more than tie_tol >= 0, nor the later incumbents, which
     # are larger.
     widen = 1.0 + (len(pop) + 8) * 2.0**-52
-    best, best_value = None, -math.inf
+    best, best_value, best_shares = None, -math.inf, None
+
+    def scan(alpha, beta, gamma, e_collab, e_beef) -> None:
+        """Evaluate one chunk of points, in grid order, against the incumbent."""
+        nonlocal best, best_value, best_shares
+        s_collab, s_beef, suspects = _chunk_shares(columns, rule, alpha, beta, gamma)
+        # algorithm_utility's sum, in its order of operations
+        values = s_collab * e_collab + s_beef * e_beef
+        failed = ~np.isfinite(values)
+        if suspects is not None:
+            failed |= suspects.any(axis=1)
+        for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
+            if suspects is not None:
+                point = (float(alpha[p]), float(beta[p]), float(gamma[p]))
+                _raise_member_error(columns, rule, point, suspects[p])
+            if not math.isfinite(values[p]):
+                raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
+        # With tie_tol >= 0 a point that wins beats every earlier value,
+        # so only the strict records of the running maximum can win.
+        ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
+        winner = None
+        for p in np.flatnonzero(values > ceiling).tolist():
+            value = float(values[p])
+            if value > best_value + tie_tol:
+                best_value, winner = value, p
+        if winner is not None:
+            best = (float(alpha[winner]), float(beta[winner]), float(gamma[winner]))
+            best_shares = {Strategy.COLLABORATION: float(s_collab[winner]), Strategy.BEEFING: float(s_beef[winner])}
+
     # a second chunk exists; skipping is sound only if no point can fail
     skip = points > step and _values_stay_finite(tuple(axis[-1] for axis in axis_values), pop, table)
-    with np.errstate(all="ignore"):  # failures are found by _chunk_shares and below
+    block = max(1, _BLOCK_POINTS // step) * step if skip else step  # whole chunks
+    with np.errstate(all="ignore"):  # failures are found by _chunk_shares and scan
         columns = _columns(pop, table)
-        for lo in range(0, points, step):
-            indices = _grid_indices(domain, lo, min(lo + step, points))
+        for lo in range(0, points, block):
+            indices = _grid_indices(domain, lo, min(lo + block, points))
             alpha, beta, gamma = (axis[idx] for axis, idx in zip(axes, indices))
             e_collab = (alpha * c1 + beta * c2) + gamma * c3
             e_beef = (alpha * b1 + beta * b2) + gamma * b3
-            if skip and lo:
-                keep = np.flatnonzero(np.maximum(e_collab, e_beef) * widen + 2.0**-1022 > best_value)
-                if not keep.size:
-                    continue
-                alpha, beta, gamma, e_collab, e_beef = (x[keep] for x in (alpha, beta, gamma, e_collab, e_beef))
-            s_collab, s_beef, suspects = _chunk_shares(columns, rule, alpha, beta, gamma)
-            # algorithm_utility's sum, in its order of operations
-            values = s_collab * e_collab + s_beef * e_beef
-            failed = ~np.isfinite(values)
-            if suspects is not None:
-                failed |= suspects.any(axis=1)
-            for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
-                if suspects is not None:
-                    point = (float(alpha[p]), float(beta[p]), float(gamma[p]))
-                    _raise_member_error(columns, rule, point, suspects[p])
-                if not math.isfinite(values[p]):
-                    raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
-            # With tie_tol >= 0 a point that wins beats every earlier value,
-            # so only the strict records of the running maximum can win.
-            ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
-            for p in np.flatnonzero(values > ceiling).tolist():
-                value = float(values[p])
-                if value > best_value + tie_tol:
-                    best, best_value = (float(alpha[p]), float(beta[p]), float(gamma[p])), value
+            if not skip:  # the block is one chunk
+                scan(alpha, beta, gamma, e_collab, e_beef)
+                continue
+            # Compacted candidates: the next step points whose bound beats the
+            # incumbent, filtered again after each chunk. Every bound beats
+            # -inf, so the first chunk holds the grid's first step points.
+            bound = np.maximum(e_collab, e_beef) * widen + 2.0**-1022
+            pending = np.flatnonzero(bound > best_value)
+            while pending.size:
+                take, pending = pending[:step], pending[step:]
+                scan(*(x[take] for x in (alpha, beta, gamma, e_collab, e_beef)))
+                pending = pending[bound[pending] > best_value]
 
     best_weights = AlgorithmWeights(*best)
     utilities = {
@@ -299,7 +329,7 @@ def stackelberg_solve(
             )
     return EquilibriumResult(
         weights=best_weights,
-        shares=population_shares(pop, rule, best_weights, table),
+        shares=StrategyShares(best_shares),
         leader_value=best_value,
         creator_utilities=utilities,
         grid_points_evaluated=points,

@@ -24,10 +24,11 @@ from .core import (
 )
 from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
 
-# Largest grid points x members one search may evaluate. At the limit a
-# single creator (simplex resolution 4470, 9,997,156 points) takes about
-# 1.4 s and a 41-member population (resolution 690) about 0.35 s
-# (2-vCPU Xeon, numpy 2.4). No search can take a larger population.
+# Largest grid points x members one search may evaluate. At the limit, a
+# search that evaluates every point takes about 0.8 s for a single creator
+# (simplex resolution 4470, 9,997,156 points) and 0.3 s for a 41-member
+# population (resolution 690) (2-vCPU Xeon, numpy 2.4.6). No search can
+# take a larger population.
 MAX_GRID_EVALUATIONS = 10**7
 
 

@@ -9,7 +9,7 @@ two-axis sweeps, as a deterministic SVG region map.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -34,6 +34,9 @@ SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
 
 COLLABORATION_COLOR = "#4f9d69"
 BEEFING_COLOR = "#c0504d"
+
+# Rows (cells) each emitter formats and writes at once.
+_EMIT_ROWS = 16384
 
 
 class MalformedLatticeError(ValueError):
@@ -232,6 +235,12 @@ def region_boundary(spec: SweepSpec) -> float | None:
     return boundary
 
 
+def _row_blocks(cells: int) -> Iterator[slice]:
+    """Consecutive blocks of at most _EMIT_ROWS cells, which bound the
+    memory the emitters' strings take."""
+    return (slice(lo, lo + _EMIT_ROWS) for lo in range(0, cells, _EMIT_ROWS))
+
+
 def _fmt(value: float) -> str:
     """9 significant digits, no trailing zeros (exact for all golden values)."""
     return format(float(value), ".9g")
@@ -242,32 +251,42 @@ def emit_csv(cells: SweepResult, sink: BinaryIO) -> None:
 
     Columns: the swept parameter names (sorted), then u_collab, u_beef,
     gap, chosen. Reals use 9 significant digits; chosen is the strategy
-    name; rows end with LF. Any input but a SweepResult raises TypeError.
+    name; rows end with LF. Rows are formatted and written in blocks of
+    _EMIT_ROWS cells. Any input but a SweepResult raises TypeError.
     """
     if not isinstance(cells, SweepResult):
         raise TypeError(f"emit_csv takes the SweepResult of run_sweep, got {type(cells).__name__}")
     if not len(cells):
         raise InvalidScenarioError("no cells to emit")
     order = sorted(range(len(cells.names)), key=cells.names.__getitem__)
-    params = [
-        np.array([_fmt(v) for v in cells.values[a].tolist()], dtype=object)[cells.position[a]].tolist()
-        for a in order
-    ]
+    params = [(np.array([_fmt(v) for v in cells.values[a].tolist()], dtype=object), cells.position[a]) for a in order]
     chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
     # "%.9g" formats a float exactly as _fmt does.
     row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
-    lines = [",".join([cells.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])]
-    lines += map(
-        row.__mod__,
-        zip(
-            *params,
-            cells.u_collab.tolist(),
-            cells.u_beef.tolist(),
-            cells.gap.tolist(),
-            chosen[cells.beefing.astype(np.intp)].tolist(),
-        ),
-    )
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    header = ",".join([cells.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])
+    sink.write((header + "\n").encode("utf-8"))
+    for rows in _row_blocks(len(cells)):
+        lines = map(
+            row.__mod__,
+            zip(
+                *(formatted[position[rows]].tolist() for formatted, position in params),
+                cells.u_collab[rows].tolist(),
+                cells.u_beef[rows].tolist(),
+                cells.gap[rows].tolist(),
+                chosen[cells.beefing[rows].astype(np.intp)].tolist(),
+            ),
+        )
+        sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _check_region_lattice(cells: SweepResult) -> None:
+    """Raise the error emit_region_svg raises for input it cannot map."""
+    if not isinstance(cells, SweepResult):
+        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
+    if not len(cells):
+        raise MalformedLatticeError("no cells")
+    if len(cells.names) != 2:
+        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(cells.names)}")
 
 
 def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
@@ -275,17 +294,13 @@ def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
 
     One filled rectangle per cell of the steps1 x steps2 lattice, colored
     by the chosen strategy (collaboration green, beefing red); axes are
-    labeled with the parameter names and their ranges. Output is
+    labeled with the parameter names and their ranges. Rects are formatted
+    and written in blocks of _EMIT_ROWS cells. Output is
     byte-deterministic for identical input. Any input but a SweepResult
     raises TypeError; an empty or one-axis result raises
     MalformedLatticeError.
     """
-    if not isinstance(cells, SweepResult):
-        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
-    if not len(cells):
-        raise MalformedLatticeError("no cells")
-    if len(cells.names) != 2:
-        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(cells.names)}")
+    _check_region_lattice(cells)
     name1, name2 = cells.names
     values1, values2 = cells.values
 
@@ -307,23 +322,22 @@ def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
         ],
         dtype=object,
     )
-    rects = heads[cells.position[0]] + tails[cells.beefing.astype(np.intp), cells.position[1]]
-
-    parts = [
+    sink.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
-    parts += rects.tolist()
+        f'viewBox="0 0 {width} {height}">\n'.encode("utf-8")
+    )
+    for rows in _row_blocks(len(cells)):
+        rects = heads[cells.position[0, rows]] + tails[cells.beefing[rows].astype(np.intp), cells.position[1, rows]]
+        sink.write(("\n".join(rects.tolist()) + "\n").encode("utf-8"))
+
     mid_x = (left + right) / 2.0
     mid_y = (top + bottom) / 2.0
-    parts.append(
+    labels = [
         f'<text x="{mid_x:.2f}" y="{height - 14}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{name1}: {_fmt(values1[0])} to {_fmt(values1[-1])}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif">{name1}: {_fmt(values1[0])} to {_fmt(values1[-1])}</text>',
         f'<text x="20" y="{mid_y:.2f}" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif" transform="rotate(-90 20 {mid_y:.2f})">'
-        f"{name2}: {_fmt(values2[0])} to {_fmt(values2[-1])}</text>"
-    )
-    parts.append("</svg>")
-    sink.write(("\n".join(parts) + "\n").encode("utf-8"))
+        f"{name2}: {_fmt(values2[0])} to {_fmt(values2[-1])}</text>",
+        "</svg>",
+    ]
+    sink.write(("\n".join(labels) + "\n").encode("utf-8"))

@@ -317,6 +317,19 @@ def test_sweep_svg_needs_two_axes(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no partial output
 
 
+def test_failed_sweep_keeps_earlier_outputs_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # the one-axis --svg error comes before any output is emitted
+    monkeypatch.setattr("creatorgame.cli.emit_csv", lambda cells, sink: pytest.fail("CSV emitted"))
+    out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    out_csv.write_bytes(b"old csv\n")
+    out_svg.write_bytes(b"old svg\n")
+    rc = main(["sweep", "example1", "--axis1", "delta:0:4:5", "--out", str(out_csv), "--svg", str(out_svg)])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == "error: cells must come from a 2-axis sweep, got axes ['delta']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
+    assert out_csv.read_bytes() == b"old csv\n" and out_svg.read_bytes() == b"old svg\n"
+
+
 def test_sweep_degenerate_axis_maps_every_step(tmp_path, capsys):
     out_csv, out_svg = tmp_path / "flat.csv", tmp_path / "flat.svg"
     rc = main(

@@ -532,15 +532,20 @@ def _solver_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_solver_cases(), chunk=st.sampled_from([1, 2, 3, 5, 7, 16, 4096]), skip=st.booleans())
-def test_property_chunked_solve_equals_the_reference(case, chunk, skip):
+@given(
+    case=_solver_cases(),
+    chunk=st.sampled_from([1, 2, 3, 5, 7, 16, 4096]),
+    block=st.sampled_from([1, 2, 3, 7, 16, leader._BLOCK_POINTS]),
+    skip=st.booleans(),
+)
+def test_property_chunked_solve_equals_the_reference(case, chunk, block, skip):
     # skip=False evaluates every point, as when _values_stay_finite fails
     predicate = leader._values_stay_finite if skip else (lambda *args: False)
     with mock.patch.object(leader, "_CHUNK_EVALUATIONS", chunk), mock.patch.object(
-        leader, "_values_stay_finite", predicate
-    ), _counting_kernel() as counted:
+        leader, "_BLOCK_POINTS", block
+    ), mock.patch.object(leader, "_values_stay_finite", predicate), _counting_kernel() as counted:
         _assert_solve_matches(*case[:4], tie_tol=case[4])
-    if not skip:
+    if not skip:  # each point once, and none again at the optimum
         assert sum(counted) == grid_size(case[0])
 
 
@@ -587,6 +592,39 @@ def test_skip_evaluates_fewer_points_and_keeps_the_reference_answer(rule):
     assert result.weights == weights
     _assert_shares_match(result.shares, shares, isinstance(rule, Quantal))
     assert result.leader_value == (pytest.approx(value, abs=1e-12) if isinstance(rule, Quantal) else value)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100, 1000, None])
+@pytest.mark.parametrize("rule", [Exact(), Quantal(2.0), Satisficing(4.0)])
+def test_blocks_of_compacted_candidates_keep_the_reference_answer(rule, block, monkeypatch):
+    # None keeps the default block; every other size splits the grid into several blocks
+    if block is not None:
+        monkeypatch.setattr(leader, "_BLOCK_POINTS", block)
+    pop = Population(tuple(CreatorParams(d) for d in np.linspace(0.0, 5.0, 41).tolist()))
+    domain = SimplexDomain(1.0, 60)
+    with _counting_kernel() as counted:
+        result = stackelberg_solve(domain, pop, rule, DEFAULT_TABLE)
+    step = leader._CHUNK_EVALUATIONS // len(pop)
+    assert sum(counted) < grid_size(domain) and all(0 < n <= step for n in counted)
+    weights, shares, value = _reference_solve(domain, pop, rule, DEFAULT_TABLE)
+    assert result.weights == weights
+    _assert_shares_match(result.shares, shares, isinstance(rule, Quantal))
+    assert result.leader_value == (pytest.approx(value, abs=1e-12) if isinstance(rule, Quantal) else value)
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+def test_kept_shares_equal_population_shares_at_the_optimum(rule_name, monkeypatch):
+    # the optimum's shares are a row of a multi-point kernel call, never recomputed
+    monkeypatch.setattr(leader, "population_shares", None)
+    rng = np.random.default_rng([11, sorted(RULES).index(rule_name)])
+    for members in range(1, 62):
+        table = DEFAULT_TABLE if members % 4 == 0 else _random_table(rng, integral=members % 4 == 1)
+        models = [(LINEAR, NONLINEAR)[int(rng.integers(2))] for _ in range(members)]
+        pop = Population(tuple(CreatorParams(float(rng.uniform(0.0, 5.0)), model) for model in models))
+        rule = RULES[rule_name](rng)
+        domain = SimplexDomain(float(rng.uniform(0.5, 3.0)), int(rng.integers(8, 16)))
+        result = stackelberg_solve(domain, pop, rule, table)
+        assert result.shares == population_shares(pop, rule, result.weights, table)
 
 
 @pytest.mark.parametrize("deltas, domain", [((1.0,), SimplexDomain(1.0, 10)), ((0.5,) * 41, SimplexDomain(1.0, 12))])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from creatorgame import (
     AlgorithmWeights,
@@ -16,6 +18,7 @@ from creatorgame import (
     Quantal,
     Satisficing,
     Strategy,
+    TIE_TOLERANCE,
     UtilityModel,
     best_response,
     creator_utility,
@@ -183,6 +186,45 @@ def test_scale_invariance_preserves_exact_ties():
         scaled_p = CreatorParams(c * 1.0)
         assert utility_gap(scaled_w, scaled_p, DEFAULT_TABLE) == 0.0
         assert best_response(scaled_w, scaled_p, DEFAULT_TABLE) is Strategy.COLLABORATION
+
+
+def test_absolute_tie_band_limits_scale_invariance():
+    # |gap| <= 1e-9 is a tie at any scale, so scaling can carry a gap out of the band
+    table = GameTable(
+        {
+            Strategy.COLLABORATION: EngagementProfile(1.0, 0.0, 0.0, 0.0),
+            Strategy.BEEFING: EngagementProfile(1.0 + 6e-10, 0.0, 0.0, 0.0),
+        }
+    )
+    creator = CreatorParams(0.0)
+    assert 0.0 < utility_gap(AlgorithmWeights(1.0, 0.0, 0.0), creator, table) <= TIE_TOLERANCE
+    assert best_response(AlgorithmWeights(1.0, 0.0, 0.0), creator, table) is Strategy.COLLABORATION
+    assert utility_gap(AlgorithmWeights(10.0, 0.0, 0.0), creator, table) > TIE_TOLERANCE
+    assert best_response(AlgorithmWeights(10.0, 0.0, 0.0), creator, table) is Strategy.BEEFING
+
+
+# tie_tol 0 is left out: rounding can flip the sign of a gap within a few ulps
+# of 0, while power-of-two scaling, which is exact, is pinned above.
+@settings(max_examples=300, deadline=None)
+@given(
+    metrics=st.lists(st.floats(0.0, 10.0), min_size=8, max_size=8),
+    knobs=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4),
+    model=st.sampled_from(UtilityModel),
+    tie_tol=st.sampled_from([TIE_TOLERANCE, 1e-6, 0.5]),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_property_exact_responses_are_scale_invariant_outside_the_tie_band(metrics, knobs, model, tie_tol, scale):
+    table = GameTable(
+        {
+            Strategy.COLLABORATION: EngagementProfile(*metrics[:4]),
+            Strategy.BEEFING: EngagementProfile(*metrics[4:]),
+        }
+    )
+    a, b, g, d = knobs
+    base = (AlgorithmWeights(a, b, g), CreatorParams(d, model))
+    scaled = (AlgorithmWeights(scale * a, scale * b, scale * g), CreatorParams(scale * d, model))
+    assume(all(abs(utility_gap(w, p, table)) > tie_tol for w, p in (base, scaled)))
+    assert respond(Exact(tie_tol), *scaled, table).prob == respond(Exact(tie_tol), *base, table).prob
 
 
 def test_quantal_probability_increases_with_lambda():

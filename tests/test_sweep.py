@@ -31,6 +31,7 @@ from creatorgame import (
     run_sweep,
     utility_gap,
 )
+from creatorgame import sweep
 from creatorgame.sweep import BEEFING_COLOR, COLLABORATION_COLOR, SWEEPABLE_PARAMS
 
 W_BASE = AlgorithmWeights(1.0, 2.0, 1.5)
@@ -242,6 +243,34 @@ def test_columnar_kernel_matches_scalar_path_bit_for_bit():
             assert _emitted(emit_csv, result) == _reference_csv(reference)
             if len(axes) == 2:
                 assert _emitted(emit_region_svg, result) == _reference_svg(spec, reference)
+
+
+class _RecordingSink(io.BytesIO):
+    """A sink that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 50, 10_000])
+def test_emitters_write_bounded_row_blocks_with_the_same_bytes(rows, monkeypatch):
+    monkeypatch.setattr(sweep, "_EMIT_ROWS", rows)
+    spec = _spec(SweepAxis("alpha", 0.0, 4.0, 9), SweepAxis("delta", 0.0, 5.0, 11))
+    result, reference = run_sweep(spec), _reference_cells(spec)
+    blocks = -(-len(result) // rows)
+    expected = {emit_csv: (_reference_csv(reference), 0), emit_region_svg: (_reference_svg(spec, reference), 1)}
+    for emit, (reference_bytes, trailer) in expected.items():
+        sink = _RecordingSink()
+        emit(result, sink)
+        assert sink.getvalue() == reference_bytes
+        # a header, one write per block of at most `rows` cells (under 128 bytes each), the SVG's labels
+        assert len(sink.sizes) == 1 + blocks + trailer
+        assert max(sink.sizes[1 : 1 + blocks]) < rows * 128
 
 
 def test_invalid_cells_raise_the_first_scalar_error():
