@@ -193,7 +193,7 @@ def _values_stay_finite(top: tuple[float, float, float], pop: Population, table:
         phis = [features(table.profiles[s], model) for s in Strategy]
         return max((a * f1 + b * f2) + g * f3 for f1, f2, f3, _ in phis), max(phi[3] for phi in phis)
 
-    creators = [extremes(model) for model in {m.model for m in pop.members}]
+    creators = [extremes(model) for model in UtilityModel if any(m.model is model for m in pop.members)]
     utility = max(e for e, _ in creators) + max(m.delta for m in pop.members) * max(r for _, r in creators)
     return math.isfinite(4.0 * utility) and math.isfinite(4.0 * extremes(UtilityModel.LINEAR)[0])
 
@@ -317,11 +317,11 @@ def stackelberg_solve(
                 pending = pending[bound[pending] > best_value]
 
     best_weights = AlgorithmWeights(*best)
-    utilities = {
-        s: sum(_member_utility(best_weights, idx, m, table.profiles[s]) for idx, m in enumerate(pop.members))
-        / len(pop.members)
-        for s in Strategy
-    }
+    utilities = {}
+    for s in Strategy:
+        profile = table.profiles[s]
+        total = sum(_member_utility(best_weights, idx, m, profile) for idx, m in enumerate(pop.members))
+        utilities[s] = total / len(pop.members)
     for s, value in utilities.items():  # the sum of finite member utilities can overflow
         if not math.isfinite(value):
             raise InvalidScenarioError(

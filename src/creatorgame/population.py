@@ -25,10 +25,10 @@ from .core import (
 from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
 
 # Largest grid points x members one search may evaluate. At the limit, a
-# search that evaluates every point takes about 0.8 s for a single creator
-# (simplex resolution 4470, 9,997,156 points) and 0.3 s for a 41-member
-# population (resolution 690) (2-vCPU Xeon, numpy 2.4.6). No search can
-# take a larger population.
+# search that evaluates every point takes about 0.55 s for a single creator
+# (simplex resolution 4470, 9,997,156 points) and 0.11 s for a 41-member
+# population (resolution 690) (2-vCPU Xeon, Python 3.11, numpy 2.4.6). No
+# search can take a larger population.
 MAX_GRID_EVALUATIONS = 10**7
 
 
@@ -69,24 +69,35 @@ class StrategyShares:
 
 
 class _Columns(NamedTuple):
-    """Per-member feature columns of a population against one table: f1, f2,
-    f3 and risk_cost (delta * r) each have shape (2, members), row 0 for
-    Collaboration and row 1 for Beefing."""
+    """A population's columns against one table, built once per solve. Axis 1
+    of feat and axis 0 of risk_cost index the strategy: 0 for Collaboration,
+    1 for Beefing.
 
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
+    feat holds (f1, f2, f3) of each strategy for each model present, shape
+    (3, 2, models); model maps each member to its model's index in feat, or
+    is None when every member has the same model; risk_cost is delta * r,
+    shape (2, members), and risk_finite says whether all of it is finite.
+    """
+
+    feat: np.ndarray
+    model: np.ndarray | None
     risk_cost: np.ndarray
+    risk_finite: bool
     pop: Population
     table: GameTable
 
 
 def _columns(pop: Population, table: GameTable) -> _Columns:
-    models = {m.model for m in pop.members}
-    phi = {model: [features(table.profiles[s], model) for s in Strategy] for model in models}
-    f1, f2, f3, risk = np.array([phi[m.model] for m in pop.members]).transpose(2, 1, 0).copy()
-    deltas = np.array([m.delta for m in pop.members])
-    return _Columns(f1, f2, f3, deltas * risk, pop, table)
+    members = pop.members
+    nonlinear = [m.model is UtilityModel.NONLINEAR for m in members]
+    if all(nonlinear) or not any(nonlinear):
+        models, model = (members[0].model,), None
+    else:
+        models, model = (UtilityModel.LINEAR, UtilityModel.NONLINEAR), np.array(nonlinear, dtype=np.intp)
+    phi = np.array([[features(table.profiles[s], m) for s in Strategy] for m in models]).T.copy()  # (4, 2, models)
+    risk = phi[3] if model is None else phi[3].take(model, axis=1)
+    risk_cost = np.array([m.delta for m in members]) * risk
+    return _Columns(phi[:3], model, risk_cost, bool(np.isfinite(risk_cost).all()), pop, table)
 
 
 def _chunk_shares(
@@ -95,41 +106,54 @@ def _chunk_shares(
     """The (Collaboration, Beefing) shares at a chunk of weight vectors, with
     respond's semantics, over all members at once.
 
-    alpha, beta and gamma have shape (points,); the utilities have shape
-    (points, 2, members) and are ((alpha*f1 + beta*f2) + gamma*f3) - delta*r,
-    in creator_utility's order, so exact and satisficing shares are the same
-    head-count fractions as the per-member path, bit for bit. Quantal shares
-    agree with it to 1e-12 only: np.exp may differ from math.exp by one ulp,
-    and the probabilities are summed pairwise.
+    alpha, beta and gamma have shape (points,). The engagement sums
+    e = (alpha*f1 + beta*f2) + gamma*f3 are computed once per point,
+    strategy and model, and each utility is e - delta*r, in creator_utility's
+    order, so exact and satisficing shares are the same head-count fractions
+    as the per-member path, bit for bit. Quantal shares agree with it to
+    1e-12 only: np.exp may differ from math.exp by one ulp, and the
+    probabilities are summed pairwise.
 
     Returns both shares as (points,) arrays and a (points, members) mask of
     the members that may have failed at each point, or None when none may
     have: the caller re-runs them through _raise_member_error. Callers
     silence numpy's floating-point warnings.
     """
+    f1, f2, f3 = columns.feat
     a, b, g = alpha[:, None, None], beta[:, None, None], gamma[:, None, None]
-    u = ((a * columns.f1 + b * columns.f2) + g * columns.f3) - columns.risk_cost
-    u_collab, u_beef = u[:, 0], u[:, 1]
+    e = (a * f1 + b * f2) + g * f3
+    # e and delta*r are >= 0, so every utility is finite when both are
+    finite = columns.risk_finite and bool(np.isfinite(e).all())
+    if columns.model is not None:  # take keeps the (points, 2, members) gather C-ordered
+        e = e.take(columns.model, axis=2)
+    u_collab = e[:, 0] - columns.risk_cost[0]
+    u_beef = e[:, 1] - columns.risk_cost[1]
+    gap = u_beef - u_collab
     n = len(columns.pop)
     if isinstance(rule, Quantal):
-        scores = np.exp(rule.lam * (u - np.maximum(u_collab, u_beef)[:, None]))
-        probs = scores / (scores[:, 0] + scores[:, 1])[:, None]
-        totals = probs.sum(axis=2)
+        # The larger utility's shifted score is exp(0) = 1 and the other's
+        # exp(-lam * |gap|), so one exp per member gives respond's scores.
+        beefs = gap > 0.0
+        other = np.exp(-rule.lam * np.abs(gap))
+        norm = 1.0 + other
+        top, rest = 1.0 / norm, other / norm
+        p_collab, p_beef = np.where(beefs, rest, top), np.where(beefs, top, rest)
+        if not finite:  # a +inf utility shifts to inf - inf: both probabilities are nan
+            overflow = np.maximum(u_collab, u_beef) == np.inf
+            p_collab[overflow] = p_beef[overflow] = np.nan
+        # C-ordered rows are summed pairwise, as in population_shares' one-point call
+        total_collab = p_collab.sum(axis=1)
         suspects = None
-        if not math.isfinite(u.sum() + totals[:, 0].sum()):  # some member may have failed
-            suspects = ~(np.isfinite(u).all(axis=1) & np.isfinite(probs[:, 0]))
-        return totals[:, 0] / n, totals[:, 1] / n, suspects
+        if not (finite and math.isfinite(total_collab.sum())):  # some member may have failed
+            suspects = ~(np.isfinite(u_collab) & np.isfinite(u_beef) & np.isfinite(p_collab))
+        return total_collab / n, p_beef.sum(axis=1) / n, suspects
     if isinstance(rule, Exact):
-        beefing = u_beef - u_collab > rule.tie_tol
+        beefing = gap > rule.tie_tol
     elif isinstance(rule, Satisficing):
-        beefing = (u_collab < rule.aspiration) & (
-            (u_beef >= rule.aspiration) | (u_beef - u_collab > TIE_TOLERANCE)
-        )
+        beefing = (u_collab < rule.aspiration) & ((u_beef >= rule.aspiration) | (gap > TIE_TOLERANCE))
     else:
         raise TypeError(f"unknown response rule: {rule!r}")
-    suspects = None
-    if not math.isfinite(u.sum()):  # some member may have failed
-        suspects = ~np.isfinite(u).all(axis=1)
+    suspects = None if finite else ~(np.isfinite(u_collab) & np.isfinite(u_beef))
     beefs = np.count_nonzero(beefing, axis=1)
     return (n - beefs) / n, beefs / n, suspects
 
