@@ -127,6 +127,8 @@ def _write_all(cells: SweepResult, outputs: list[tuple[str, Callable[[SweepResul
 
 
 def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg: str | None) -> int:
+    if svg is not None and os.path.realpath(svg) == os.path.realpath(out):  # the SVG would replace the CSV
+        raise InvalidScenarioError(f"--out and --svg name the same file, {os.path.realpath(out)!r}")
     if not isinstance(scenario.rule, Exact):
         raise ScenarioError(f"scenario.rule: sweeps use the exact rule only, got {scenario.rule!r}")
     spec = SweepSpec(

@@ -33,6 +33,7 @@ from .population import (
     MAX_GRID_EVALUATIONS,
     Population,
     StrategyShares,
+    _Columns,
     _chunk_shares,
     _columns,
     _raise_member_error,
@@ -175,27 +176,22 @@ def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
     return [AlgorithmWeights(*point) for point in zip(*(axis[idx].tolist() for axis, idx in zip(axes, indices)))]
 
 
-def _values_stay_finite(top: tuple[float, float, float], pop: Population, table: GameTable) -> bool:
+def _values_stay_finite(columns: _Columns, top: tuple[float, float, float], leader_top: float) -> bool:
     """Whether no utility, gap, choice probability or leader value can be
-    non-finite anywhere on a grid whose weights are at most `top` on each axis.
+    non-finite anywhere on a grid whose weights are at most `top` on each
+    axis; leader_top is the larger leader engagement sum at `top`.
 
     Weights, features and deltas are >= 0 and rounding is monotone, so every
     engagement sum on the grid is at most its value at `top`, and every risk
-    cost at most the largest delta times the largest r. A utility is then at
+    cost at most the largest of the columns' delta * r. A utility is then at
     most their sum in size, a gap or a shifted quantal exponent at most twice
-    that, and a leader value at most the largest leader engagement sum times
-    (1 + a few ulps): a factor 4 keeps them all finite.
+    that, and a leader value at most leader_top times (1 + a few ulps): a
+    factor 4 keeps them all finite.
     """
     a, b, g = top
-
-    def extremes(model: UtilityModel) -> tuple[float, float]:
-        """The largest engagement sum at `top` and the largest r of either strategy."""
-        phis = [features(table.profiles[s], model) for s in Strategy]
-        return max((a * f1 + b * f2) + g * f3 for f1, f2, f3, _ in phis), max(phi[3] for phi in phis)
-
-    creators = [extremes(model) for model in UtilityModel if any(m.model is model for m in pop.members)]
-    utility = max(e for e, _ in creators) + max(m.delta for m in pop.members) * max(r for _, r in creators)
-    return math.isfinite(4.0 * utility) and math.isfinite(4.0 * extremes(UtilityModel.LINEAR)[0])
+    f1, f2, f3 = columns.feat
+    utility = ((a * f1 + b * f2) + g * f3).max() + columns.risk_cost.max()
+    return math.isfinite(4.0 * utility) and math.isfinite(4.0 * leader_top)
 
 
 def _member_utility(weights: AlgorithmWeights, idx: int, member: CreatorParams, profile: EngagementProfile) -> float:
@@ -220,16 +216,16 @@ def stackelberg_solve(
     (within tie_tol) keep the earliest point in enumeration order, so the
     result is independent of evaluation parallelism.
 
-    The grid is walked in chunks of at most _CHUNK_EVALUATIONS points x
-    members (but at least one point), in grid order; the member kernel
-    evaluates a chunk as arrays, with population_shares' semantics, and the
-    tie rule runs over its values. When the grid has a second chunk and
-    _values_stay_finite holds, points that cannot beat the incumbent are
-    skipped: the weights, engagement values and leader-value bounds of a
-    block of about _BLOCK_POINTS points are computed once, and each chunk
-    holds the block's next points whose bound still beats the incumbent,
-    re-filtered after each chunk. Otherwise each chunk holds the grid's
-    next points.
+    The grid is walked in blocks of about _BLOCK_POINTS points, in grid
+    order; the weights, engagement values and leader-value bounds of a
+    block are computed once. The member kernel evaluates the block in
+    chunks of at most _CHUNK_EVALUATIONS points x members (but at least one
+    point), as arrays with population_shares' semantics, and the tie rule
+    runs over its values. Each chunk holds the block's next points whose
+    bound still beats the incumbent, re-filtered after each chunk. Only
+    when the grid has a second chunk and _values_stay_finite holds are the
+    bounds finite; otherwise they are +inf, nothing is skipped and each
+    chunk holds the grid's next points.
     Weights, shares (kept from the kernel's output) and the result are built
     for the returned optimum only. Errors are those of the point-by-point
     search: an over-budget grid, then any invalid grid point, then the first
@@ -264,56 +260,51 @@ def stackelberg_solve(
     # beat it by more than tie_tol >= 0, nor the later incumbents, which
     # are larger.
     widen = 1.0 + (len(pop) + 8) * 2.0**-52
+    a, b, g = top = tuple(axis[-1] for axis in axis_values)
+    leader_top = max((a * c1 + b * c2) + g * c3, (a * b1 + b * b2) + g * b3)
     best, best_value, best_shares = None, -math.inf, None
-
-    def scan(alpha, beta, gamma, e_collab, e_beef) -> None:
-        """Evaluate one chunk of points, in grid order, against the incumbent."""
-        nonlocal best, best_value, best_shares
-        s_collab, s_beef, suspects = _chunk_shares(columns, rule, alpha, beta, gamma)
-        # algorithm_utility's sum, in its order of operations
-        values = s_collab * e_collab + s_beef * e_beef
-        failed = ~np.isfinite(values)
-        if suspects is not None:
-            failed |= suspects.any(axis=1)
-        for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
-            if suspects is not None:
-                point = (float(alpha[p]), float(beta[p]), float(gamma[p]))
-                _raise_member_error(columns, rule, point, suspects[p])
-            if not math.isfinite(values[p]):
-                raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
-        # With tie_tol >= 0 a point that wins beats every earlier value,
-        # so only the strict records of the running maximum can win.
-        ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
-        winner = None
-        for p in np.flatnonzero(values > ceiling).tolist():
-            value = float(values[p])
-            if value > best_value + tie_tol:
-                best_value, winner = value, p
-        if winner is not None:
-            best = (float(alpha[winner]), float(beta[winner]), float(gamma[winner]))
-            best_shares = {Strategy.COLLABORATION: float(s_collab[winner]), Strategy.BEEFING: float(s_beef[winner])}
-
-    # a second chunk exists; skipping is sound only if no point can fail
-    skip = points > step and _values_stay_finite(tuple(axis[-1] for axis in axis_values), pop, table)
-    block = max(1, _BLOCK_POINTS // step) * step if skip else step  # whole chunks
-    with np.errstate(all="ignore"):  # failures are found by _chunk_shares and scan
+    block = max(1, _BLOCK_POINTS // step) * step  # whole chunks
+    with np.errstate(all="ignore"):  # failures are found by _chunk_shares and below
         columns = _columns(pop, table)
+        # a second chunk exists; skipping is sound only if no point can fail
+        skip = points > step and _values_stay_finite(columns, top, leader_top)
         for lo in range(0, points, block):
             indices = _grid_indices(domain, lo, min(lo + block, points))
             alpha, beta, gamma = (axis[idx] for axis, idx in zip(axes, indices))
             e_collab = (alpha * c1 + beta * c2) + gamma * c3
             e_beef = (alpha * b1 + beta * b2) + gamma * b3
-            if not skip:  # the block is one chunk
-                scan(alpha, beta, gamma, e_collab, e_beef)
-                continue
             # Compacted candidates: the next step points whose bound beats the
             # incumbent, filtered again after each chunk. Every bound beats
-            # -inf, so the first chunk holds the grid's first step points.
-            bound = np.maximum(e_collab, e_beef) * widen + 2.0**-1022
+            # -inf, so the first chunk holds the grid's first step points;
+            # without skipping every bound is +inf, and each chunk holds the
+            # grid's next step points.
+            bound = np.maximum(e_collab, e_beef) * widen + 2.0**-1022 if skip else np.full(alpha.shape, math.inf)
             pending = np.flatnonzero(bound > best_value)
             while pending.size:
                 take, pending = pending[:step], pending[step:]
-                scan(*(x[take] for x in (alpha, beta, gamma, e_collab, e_beef)))
+                chunk = [x[take] for x in (alpha, beta, gamma)]
+                s_collab, s_beef, suspects = _chunk_shares(columns, rule, *chunk)
+                # algorithm_utility's sum, in its order of operations
+                values = s_collab * e_collab[take] + s_beef * e_beef[take]
+                failed = ~np.isfinite(values)
+                if suspects is not None:
+                    failed |= suspects.any(axis=1)
+                for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
+                    if suspects is not None:
+                        _raise_member_error(columns, rule, tuple(float(x[p]) for x in chunk), suspects[p])
+                    if not math.isfinite(values[p]):
+                        raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
+                # With tie_tol >= 0 a point that wins beats every earlier value,
+                # so only the strict records of the running maximum can win.
+                ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
+                winner = None
+                for p in np.flatnonzero(values > ceiling).tolist():
+                    value = float(values[p])
+                    if value > best_value + tie_tol:
+                        best_value, winner = value, p
+                if winner is not None:
+                    best = tuple(float(x[winner]) for x in chunk)
+                    best_shares = (float(s_collab[winner]), float(s_beef[winner]))
                 pending = pending[bound[pending] > best_value]
 
     best_weights = AlgorithmWeights(*best)
@@ -329,7 +320,7 @@ def stackelberg_solve(
             )
     return EquilibriumResult(
         weights=best_weights,
-        shares=StrategyShares(best_shares),
+        shares=StrategyShares(dict(zip(Strategy, best_shares))),
         leader_value=best_value,
         creator_utilities=utilities,
         grid_points_evaluated=points,

@@ -172,14 +172,6 @@ def _fixed_params(spec: SweepSpec) -> dict[str, float]:
     }
 
 
-def _valid(name: str, value: float) -> bool:
-    try:
-        _checked(name, value)
-    except InvalidScenarioError:
-        return False
-    return True
-
-
 def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
     """Evaluate one invalid cell on the scalar path, which raises its error."""
     params = {**_fixed_params(spec), **cell.param_values}
@@ -198,12 +190,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
     names = tuple(axis.name for axis in axes)
-    values = tuple(np.array(axis.values()) for axis in axes)
     shape = tuple(axis.steps for axis in axes)
     params = _fixed_params(spec)
-    for a, (name, axis_values) in enumerate(zip(names, values)):
-        params[name] = axis_values.reshape([-1 if b == a else 1 for b in range(len(axes))])
     with np.errstate(all="ignore"):  # invalid cells are found and reported below
+        values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
+        for a, (name, axis_values) in enumerate(zip(names, values)):
+            params[name] = axis_values.reshape([-1 if b == a else 1 for b in range(len(axes))])
         u_collab = _utility(params, spec.creator.model, spec.table.profiles[Strategy.COLLABORATION])
         u_beef = _utility(params, spec.creator.model, spec.table.profiles[Strategy.BEEFING])
         gap = u_beef - u_collab
@@ -217,8 +209,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         gap > spec.rule.tie_tol,
     )
     ok = np.isfinite(u_collab) & np.isfinite(u_beef)
-    for name, axis_values, position in zip(names, values, result.position):
-        ok &= np.array([_valid(name, v) for v in axis_values.tolist()])[position]
+    for axis_values, position in zip(values, result.position):  # _checked's test, -0.0 included
+        ok &= (np.isfinite(axis_values) & (axis_values >= 0.0))[position]
     if not ok.all():
         _raise_cell_error(spec, result[int(np.argmin(ok))])
     return result

@@ -162,6 +162,17 @@ def test_sweep_single_step_axes(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("out", ["P", "./P", "sub/../P"])
+def test_sweep_refuses_one_path_for_csv_and_svg(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "example1", "--axis1", "alpha:0:4:3", "--axis2", "delta:0:5:3", "--out", out, "--svg", "P"]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out and --svg name the same file, {os.path.realpath(tmp_path / 'P')!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_malformed_axis_flag(tmp_path, capsys):
     out_csv = tmp_path / "x.csv"
     assert main(["sweep", "example1", "--axis1", "delta:0:4", "--out", str(out_csv)]) == EXIT_INVALID

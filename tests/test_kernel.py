@@ -35,6 +35,7 @@ from creatorgame import (
     check_grid_budget,
     creator_utility,
     enumerate_domain,
+    features,
     grid_size,
     population_shares,
     respond,
@@ -549,7 +550,7 @@ def test_property_chunked_solve_equals_the_reference(case, chunk, block, skip):
         assert sum(counted) == grid_size(case[0])
 
 
-def test_search_memory_is_bounded_by_the_chunk():
+def _assert_search_memory_is_bounded():
     pop = Population((CreatorParams(1.0),))
     peaks = {}
     for resolution in (200, 1000):
@@ -562,6 +563,18 @@ def test_search_memory_is_bounded_by_the_chunk():
     assert grid_size(SimplexDomain(1.0, 1000)) == 501_501
     assert peaks[1000] < 2 << 20
     assert peaks[1000] - peaks[200] < 1 << 18
+
+
+def test_search_memory_is_bounded_by_the_chunk():
+    _assert_search_memory_is_bounded()
+
+
+def test_unskipped_search_memory_is_bounded_by_the_chunk(monkeypatch):
+    # every point is evaluated, a block of candidates at a time
+    monkeypatch.setattr(leader, "_values_stay_finite", lambda *args: False)
+    with _counting_kernel() as counted:
+        _assert_search_memory_is_bounded()
+    assert sum(counted) == grid_size(SimplexDomain(1.0, 200)) + grid_size(SimplexDomain(1.0, 1000))
 
 
 # --- skipping points whose leader-value bound cannot beat the incumbent -------
@@ -581,6 +594,40 @@ def _counting_kernel():
         yield counted
 
 
+def _stays_finite(domain, pop, table):
+    """_values_stay_finite with the arguments the solve passes it."""
+    a, b, g = top = tuple(axis[-1] for axis in leader._axes(domain))
+    engagement = [features(table.profiles[s], LINEAR)[:3] for s in Strategy]
+    leader_top = max((a * f1 + b * f2) + g * f3 for f1, f2, f3 in engagement)
+    with np.errstate(all="ignore"):
+        return leader._values_stay_finite(leader._columns(pop, table), top, leader_top)
+
+
+@pytest.mark.parametrize("chunk, block", [(4096, 8192), (4096, 1), (21, 50), (7, 1), (1, 5)])
+def test_unskipped_search_walks_the_grid_in_order_in_whole_chunks(chunk, block, monkeypatch):
+    # without the finiteness check every point is a candidate: the chunks
+    # are the grid's consecutive step points, whatever the block size
+    monkeypatch.setattr(leader, "_CHUNK_EVALUATIONS", chunk)
+    monkeypatch.setattr(leader, "_BLOCK_POINTS", block)
+    monkeypatch.setattr(leader, "_values_stay_finite", lambda *args: False)
+    kernel = leader._chunk_shares
+    calls = []
+
+    def recording(columns, rule, alpha, beta, gamma):
+        calls.append(list(zip(alpha.tolist(), beta.tolist(), gamma.tolist())))
+        return kernel(columns, rule, alpha, beta, gamma)
+
+    monkeypatch.setattr(leader, "_chunk_shares", recording)
+    pop = Population((CreatorParams(0.5), CreatorParams(2.0, NONLINEAR), CreatorParams(4.0)))
+    step = max(1, chunk // len(pop))
+    for domain in (SimplexDomain(1.0, 130 if chunk == 4096 else 12), BoxDomain(1.0, 2.0, 3.0, resolution=5)):
+        calls.clear()
+        stackelberg_solve(domain, pop, Exact(), DEFAULT_TABLE)
+        points = [(w.alpha, w.beta, w.gamma) for w in enumerate_domain(domain)]
+        assert [p for call in calls for p in call] == points
+        assert all(len(call) == step for call in calls[:-1]) and 0 < len(calls[-1]) <= step
+
+
 @pytest.mark.parametrize("rule", [Exact(), Quantal(2.0), Satisficing(4.0)])
 def test_skip_evaluates_fewer_points_and_keeps_the_reference_answer(rule):
     pop = Population(tuple(CreatorParams(d) for d in np.linspace(0.0, 5.0, 41).tolist()))
@@ -589,6 +636,26 @@ def test_skip_evaluates_fewer_points_and_keeps_the_reference_answer(rule):
         result = stackelberg_solve(domain, pop, rule, DEFAULT_TABLE)
     assert len(counted) > 1 and sum(counted) < grid_size(domain) == result.grid_points_evaluated
     weights, shares, value = _reference_solve(domain, pop, rule, DEFAULT_TABLE)
+    assert result.weights == weights
+    _assert_shares_match(result.shares, shares, isinstance(rule, Quantal))
+    assert result.leader_value == (pytest.approx(value, abs=1e-12) if isinstance(rule, Quantal) else value)
+
+
+@pytest.mark.parametrize("rule", [Exact(), Quantal(2.0), Satisficing(4.0)])
+def test_mixed_models_skip_when_no_single_risk_cost_overflows(rule):
+    # The largest delta (the linear member's) times the largest r (the
+    # nonlinear member's drama_risk**2) overflows, but each member's own
+    # delta * r is finite, so no value on the grid can be non-finite.
+    table = GameTable({**DEFAULT_TABLE.profiles, Strategy.BEEFING: EngagementProfile(5.0, 2.0, 4.0, 1e100)})
+    pop = Population((CreatorParams(1e150, LINEAR), CreatorParams(1.0, NONLINEAR)))
+    domain = SimplexDomain(1.0, 70)
+    risks = [features(table.profiles[Strategy.BEEFING], model)[3] for model in (LINEAR, NONLINEAR)]
+    assert math.isinf(1e150 * max(risks)) and _stays_finite(domain, pop, table)
+    assert grid_size(domain) > leader._CHUNK_EVALUATIONS // len(pop)  # a second chunk exists
+    with _counting_kernel() as counted:
+        result = stackelberg_solve(domain, pop, rule, table)
+    assert sum(counted) < grid_size(domain)
+    weights, shares, value = _reference_solve(domain, pop, rule, table)
     assert result.weights == weights
     _assert_shares_match(result.shares, shares, isinstance(rule, Quantal))
     assert result.leader_value == (pytest.approx(value, abs=1e-12) if isinstance(rule, Quantal) else value)
@@ -744,7 +811,7 @@ def _fails(pop, rule, weights, table):
 def test_extreme_inputs_evaluate_every_point(chunk_size, case):
     table, domain, members, rule = EXTREME[case]
     pop = Population(tuple(CreatorParams(delta, model) for delta, model in members))
-    assert not leader._values_stay_finite(tuple(axis[-1] for axis in leader._axes(domain)), pop, table)
+    assert not _stays_finite(domain, pop, table)
     points = enumerate_domain(domain)
     failing = [p for p, weights in enumerate(points) if _fails(pop, rule, weights, table)]
     with _counting_kernel() as counted:

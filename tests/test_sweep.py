@@ -288,6 +288,35 @@ def test_invalid_cells_raise_the_first_scalar_error():
         sweep(SweepAxis("gamma", 0.0, 1e308, 3), SweepAxis("beta", 0.0, 1e308, 3))
 
 
+def _scalar_error(spec):
+    """The error of the first invalid cell on the per-cell scalar path."""
+    with pytest.raises(InvalidScenarioError) as info:
+        _reference_cells(spec)
+    return str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflowing_axis_values_raise_the_scalar_error():
+    # hi - lo overflows, so linspace gives nan, inf, ..., hi
+    overflowing = SweepAxis("beta", -1e308, 1e308, 4)
+    values = overflowing.values()
+    assert np.isnan(values[0]) and values[1:] == [np.inf, np.inf, 1e308]
+    for axis1, axis2 in ((overflowing, None), (SweepAxis("delta", 0.0, 1.0, 2), overflowing)):
+        spec = _spec(axis1, axis2=axis2, weights=W_BASE)
+        with pytest.raises(InvalidScenarioError) as info:
+            run_sweep(spec)
+        assert str(info.value) == _scalar_error(spec) == "beta must be finite, got nan"
+
+
+def test_negative_zero_is_a_valid_swept_value():
+    # linspace ends on hi exactly, so hi = -0.0 gives a last value of -0.0
+    spec = _spec(SweepAxis("delta", -0.0, -0.0, 2), axis2=SweepAxis("gamma", 0.0, -0.0, 2))
+    result, reference = run_sweep(spec), _reference_cells(spec)
+    assert [np.signbit(v).tolist() for v in result.values] == [[False, True]] * 2
+    assert _emitted(emit_csv, result) == _reference_csv(reference)
+    assert b"\n-0,-0," in _reference_csv(reference)
+
+
 def test_result_is_a_read_only_sequence_of_cells():
     spec = _spec(SweepAxis("alpha", 0.0, 3.0, 4), axis2=SweepAxis("delta", 0.0, 4.0, 3))
     result, reference = run_sweep(spec), _reference_cells(spec)
