@@ -20,6 +20,7 @@ from .core import (
     InvalidScenarioError,
     Strategy,
     UtilityModel,
+    _checked,
     features,
 )
 from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
@@ -209,6 +210,8 @@ def make_delta_grid_population(
         raise InvalidScenarioError(
             f"count must be <= {MAX_GRID_EVALUATIONS}, the limit of grid evaluations, got {count}"
         )
+    delta_min = _checked("delta_min", delta_min, minimum=None)  # an infinite bound makes linspace give nan
+    delta_max = _checked("delta_max", delta_max, minimum=None)
     if not (0.0 <= delta_min <= delta_max):
         raise InvalidScenarioError(
             f"need 0 <= delta_min <= delta_max, got [{delta_min!r}, {delta_max!r}]"

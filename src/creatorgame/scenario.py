@@ -19,15 +19,18 @@ A scenario document is a JSON object with sections:
                 resolution 100)
 
 Parsing is strict: unknown keys anywhere raise ScenarioError with the
-offending key path. A typo in an incentive parameter must never silently
-fall back to a default.
+offending key path, as do NaN, infinities and integers too large for a
+float; load_scenario also refuses a key given twice in one object. A typo
+in an incentive parameter must never silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .core import (
     AlgorithmWeights,
@@ -87,195 +90,145 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _expect_object(doc: object, path: str) -> dict:
+def _object(doc: object, path: str, keys: Iterable[str]) -> dict:
+    """doc as an object whose keys are all among keys."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: expected an object, got {type(doc).__name__}")
+    unknown = doc.keys() - keys
+    if unknown:
+        raise ScenarioError(f"{path}.{min(unknown)}: unknown key")
     return doc
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ScenarioError(f"{path}.{unknown[0]}: unknown key")
+_TOO_LARGE = "expected a number, got an integer too large for a float"
 
 
-def _number(obj: dict, key: str, path: str, required: bool = True, default: float | None = None):
+def _value(obj: dict, key: str, path: str, integer: bool, default: float | None):
+    """The number field obj[key], an int if integer, else a float; default
+    when the field is absent, which is an error when default is None."""
     if key not in obj:
-        if required:
+        if default is None:
             raise ScenarioError(f"{path}.{key}: missing required value")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(obj: dict, key: str, path: str, required: bool = True, default: int | None = None):
-    if key not in obj:
-        if required:
-            raise ScenarioError(f"{path}.{key}: missing required value")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_weights(obj: object, path: str) -> AlgorithmWeights:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, {"alpha", "beta", "gamma"}, path)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ScenarioError(f"{path}.{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return value
     try:
-        return AlgorithmWeights(
-            alpha=_number(obj, "alpha", path),
-            beta=_number(obj, "beta", path),
-            gamma=_number(obj, "gamma", path),
-        )
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}.{key}: {_TOO_LARGE}") from None
+
+
+# A record is (make, fields): a section of number fields only, key ->
+# (integer, default), in the order of make's arguments.
+_NUMBER, _INTEGER, _RESOLUTION = (False, None), (True, None), (True, 100)
+_WEIGHTS = (AlgorithmWeights, dict.fromkeys(("alpha", "beta", "gamma"), _NUMBER))
+_PROFILE = (EngagementProfile, dict.fromkeys(("clicks", "watch_time", "shares", "drama_risk"), _NUMBER))
+_GRID = {"min": _NUMBER, "max": _NUMBER, "count": _INTEGER}
+_BOX_MAX = dict.fromkeys(("alpha_max", "beta_max", "gamma_max"), _NUMBER)
+_STRATEGIES = {"collaboration": Strategy.COLLABORATION, "beefing": Strategy.BEEFING}
+
+
+def _record(record: tuple, doc: object, path: str, *extra):
+    """make(*values, *extra), the values read from doc in the fields' order."""
+    make, fields = record
+    obj = _object(doc, path, fields)
+    return make(*[_value(obj, key, path, integer, default) for key, (integer, default) in fields.items()], *extra)
+
+
+def _wrapped(path: str, read: Callable, *args):
+    """read(*args), with a model constructor's error re-raised under path."""
+    try:
+        return read(*args)
     except InvalidScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_model(obj: dict, path: str) -> UtilityModel:
-    raw = obj.get("model", "linear")
-    if raw not in ("linear", "nonlinear"):
-        raise ScenarioError(f'{path}.model: expected "linear" or "nonlinear", got {raw!r}')
-    return UtilityModel(raw)
+def _creator(doc: object, path: str) -> CreatorParams:
+    obj = _object(doc, path, ("delta", "model"))
+    delta = _value(obj, "delta", path, False, None)
+    model = obj.get("model", "linear")
+    if model not in ("linear", "nonlinear"):
+        raise ScenarioError(f'{path}.model: expected "linear" or "nonlinear", got {model!r}')
+    return CreatorParams(delta, UtilityModel(model))
 
 
-def _parse_creator(obj: object, path: str) -> CreatorParams:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, {"delta", "model"}, path)
-    try:
-        return CreatorParams(delta=_number(obj, "delta", path), model=_parse_model(obj, path))
-    except InvalidScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _parse_table(obj: object, path: str) -> GameTable:
-    obj = _expect_object(obj, path)
-    strategy_keys = {"collaboration": Strategy.COLLABORATION, "beefing": Strategy.BEEFING}
-    _check_keys(obj, set(strategy_keys), path)
+def _table(doc: object, path: str) -> GameTable:
+    obj = _object(doc, path, _STRATEGIES)
     profiles = {}
-    for key, strategy in strategy_keys.items():
+    for key, strategy in _STRATEGIES.items():
         if key not in obj:
             raise ScenarioError(f"{path}.{key}: missing required section")
         sub_path = f"{path}.{key}"
-        sub = _expect_object(obj[key], sub_path)
-        _check_keys(sub, {"clicks", "watch_time", "shares", "drama_risk"}, sub_path)
-        try:
-            profiles[strategy] = EngagementProfile(
-                clicks=_number(sub, "clicks", sub_path),
-                watch_time=_number(sub, "watch_time", sub_path),
-                shares=_number(sub, "shares", sub_path),
-                drama_risk=_number(sub, "drama_risk", sub_path),
-            )
-        except InvalidScenarioError as exc:
-            raise ScenarioError(f"{sub_path}: {exc}") from exc
+        profiles[strategy] = _wrapped(sub_path, _record, _PROFILE, obj[key], sub_path)
     return GameTable(profiles)
 
 
-def _parse_population(obj: object, path: str, creator: CreatorParams) -> Population:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, {"deltas", "grid"}, path)
-    if ("deltas" in obj) == ("grid" in obj):
-        raise ScenarioError(f'{path}: give exactly one of "deltas" or "grid"')
-    try:
-        if "deltas" in obj:
-            raw = obj["deltas"]
-            if not isinstance(raw, list) or not raw:
-                raise ScenarioError(f"{path}.deltas: expected a non-empty list")
-            members = []
-            for i, value in enumerate(raw):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ScenarioError(f"{path}.deltas[{i}]: expected a number, got {value!r}")
-                members.append(CreatorParams(delta=float(value), model=creator.model))
-            return Population(tuple(members))
-        grid_path = f"{path}.grid"
-        grid = _expect_object(obj["grid"], grid_path)
-        _check_keys(grid, {"min", "max", "count"}, grid_path)
-        return make_delta_grid_population(
-            delta_min=_number(grid, "min", grid_path),
-            delta_max=_number(grid, "max", grid_path),
-            count=_integer(grid, "count", grid_path),
-            model=creator.model,
-        )
-    except InvalidScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+def _deltas(doc: object, path: str, model: UtilityModel) -> Population:
+    if not isinstance(doc, list) or not doc:
+        raise ScenarioError(f"{path}: expected a non-empty list")
+    members = []
+    for i, value in enumerate(doc):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{path}[{i}]: expected a number, got {value!r}")
+        try:
+            delta = float(value)
+        except OverflowError:
+            raise ScenarioError(f"{path}[{i}]: {_TOO_LARGE}") from None
+        members.append(CreatorParams(delta=delta, model=model))
+    return Population(tuple(members))
 
 
-def _parse_rule(obj: object, path: str) -> ResponseRule:
-    if obj == "exact":
-        return Exact()
-    obj = _expect_object(obj, path)
-    _check_keys(obj, {"quantal", "satisficing"}, path)
+def _grid(doc: object, path: str, model: UtilityModel) -> Population:
+    # the name is looked up per call, so a rebinding of it (bench/spans.py traces this way) is seen
+    return _record((make_delta_grid_population, _GRID), doc, path, model)
+
+
+# The sections that take exactly one of their options: section -> (the
+# message when they do not, {option: reader(doc, path, *extra)}).
+_ONE_OF = {
+    "population": ('give exactly one of "deltas" or "grid"', {"deltas": _deltas, "grid": _grid}),
+    "rule": ('expected "exact" or exactly one of quantal/satisficing', {
+        "quantal": partial(_record, (Quantal, {"lambda": _NUMBER})),
+        "satisficing": partial(_record, (Satisficing, {"aspiration": _NUMBER})),
+    }),
+    "domain": ("expected exactly one of simplex/box", {
+        "simplex": partial(_record, (SimplexDomain, {"total": (False, 1.0), "resolution": _RESOLUTION})),
+        "box": partial(_record, (BoxDomain, {**_BOX_MAX, "resolution": _RESOLUTION})),
+    }),
+}
+
+
+def _one_of(doc: object, section: str, *extra):
+    """The section read by its one option; a constructor's error is
+    re-raised under the section's path."""
+    path = f"scenario.{section}"
+    message, options = _ONE_OF[section]
+    obj = _object(doc, path, options)
     if len(obj) != 1:
-        raise ScenarioError(f'{path}: expected "exact" or exactly one of quantal/satisficing')
-    try:
-        if "quantal" in obj:
-            sub_path = f"{path}.quantal"
-            sub = _expect_object(obj["quantal"], sub_path)
-            _check_keys(sub, {"lambda"}, sub_path)
-            return Quantal(lam=_number(sub, "lambda", sub_path))
-        sub_path = f"{path}.satisficing"
-        sub = _expect_object(obj["satisficing"], sub_path)
-        _check_keys(sub, {"aspiration"}, sub_path)
-        return Satisficing(aspiration=_number(sub, "aspiration", sub_path))
-    except InvalidScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _parse_domain(obj: object, path: str) -> WeightDomain:
-    obj = _expect_object(obj, path)
-    _check_keys(obj, {"simplex", "box"}, path)
-    if len(obj) != 1:
-        raise ScenarioError(f"{path}: expected exactly one of simplex/box")
-    try:
-        if "simplex" in obj:
-            sub_path = f"{path}.simplex"
-            sub = _expect_object(obj["simplex"], sub_path)
-            _check_keys(sub, {"total", "resolution"}, sub_path)
-            return SimplexDomain(
-                total=_number(sub, "total", sub_path, required=False, default=1.0),
-                resolution=_integer(sub, "resolution", sub_path, required=False, default=100),
-            )
-        sub_path = f"{path}.box"
-        sub = _expect_object(obj["box"], sub_path)
-        _check_keys(sub, {"alpha_max", "beta_max", "gamma_max", "resolution"}, sub_path)
-        return BoxDomain(
-            alpha_max=_number(sub, "alpha_max", sub_path),
-            beta_max=_number(sub, "beta_max", sub_path),
-            gamma_max=_number(sub, "gamma_max", sub_path),
-            resolution=_integer(sub, "resolution", sub_path, required=False, default=100),
-        )
-    except InvalidScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: {message}")
+    ((key, value),) = obj.items()
+    return _wrapped(path, options[key], value, f"{path}.{key}", *extra)
 
 
 def parse_scenario(doc: object) -> Scenario:
     """Validate a scenario document (a parsed JSON object) and apply defaults."""
-    doc = _expect_object(doc, "scenario")
-    _check_keys(doc, {"table", "weights", "creator", "population", "rule", "domain"}, "scenario")
-    if "weights" not in doc:
-        raise ScenarioError("scenario.weights: missing required section")
-    if "creator" not in doc:
-        raise ScenarioError("scenario.creator: missing required section")
-
-    weights = _parse_weights(doc["weights"], "scenario.weights")
-    creator = _parse_creator(doc["creator"], "scenario.creator")
-    table = _parse_table(doc["table"], "scenario.table") if "table" in doc else DEFAULT_TABLE
+    doc = _object(doc, "scenario", ("table", "weights", "creator", "population", "rule", "domain"))
+    for section in ("weights", "creator"):
+        if section not in doc:
+            raise ScenarioError(f"scenario.{section}: missing required section")
+    weights = _wrapped("scenario.weights", _record, _WEIGHTS, doc["weights"], "scenario.weights")
+    creator = _wrapped("scenario.creator", _creator, doc["creator"], "scenario.creator")
+    table = _table(doc["table"], "scenario.table") if "table" in doc else DEFAULT_TABLE
     if "population" in doc:
-        population = _parse_population(doc["population"], "scenario.population", creator)
+        population = _one_of(doc["population"], "population", creator.model)
     else:
         population = Population((creator,))
-    rule = _parse_rule(doc["rule"], "scenario.rule") if "rule" in doc else Exact()
-    domain = _parse_domain(doc["domain"], "scenario.domain") if "domain" in doc else SimplexDomain()
-    return Scenario(
-        weights=weights,
-        creator=creator,
-        table=table,
-        population=population,
-        rule=rule,
-        domain=domain,
-    )
+    rule = Exact() if doc.get("rule", "exact") == "exact" else _one_of(doc["rule"], "rule")
+    domain = _one_of(doc["domain"], "domain") if "domain" in doc else SimplexDomain()
+    return Scenario(weights, creator, table, population, rule, domain)
 
 
 def preset_scenario(name: str) -> Scenario:
@@ -288,12 +241,24 @@ def preset_scenario(name: str) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario from a JSON file.
 
-    Raises OSError for I/O problems and ScenarioError for content problems.
+    Raises OSError for I/O problems and ScenarioError for content problems,
+    a key given twice in one object included.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also integer literals past int's digit limit
         raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
     return parse_scenario(doc)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj

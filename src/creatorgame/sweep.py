@@ -9,6 +9,7 @@ two-axis sweeps, as a deterministic SVG region map.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -62,6 +63,8 @@ class SweepAxis:
         hi = _checked(f"{self.name} axis hi", self.hi, minimum=None)
         if not (lo <= hi):
             raise InvalidScenarioError(f"axis range must have lo <= hi, got [{lo!r}, {hi!r}]")
+        if not math.isfinite(hi - lo):  # linspace would give nan and inf values
+            raise InvalidScenarioError(f"{self.name} axis range [{lo!r}, {hi!r}] is too wide: hi - lo overflows")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not isinstance(self.steps, int) or self.steps < 1:

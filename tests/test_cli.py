@@ -200,6 +200,76 @@ def test_sweep_rejects_non_finite_axis_bounds(tmp_path, axis, given):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "equilibrium", "sweep"])
+def test_overflowing_ranges_exit_invalid_without_warnings(tmp_path, command):
+    # an infinite grid bound, or an axis range whose width overflows, would
+    # make linspace give nan: both are refused before numpy sees them
+    infinite_grid = dict(BASELINE, population={"grid": {"min": 0, "max": float("inf"), "count": 3}})
+    out_csv = tmp_path / "x.csv"
+    argv = [command, _write_scenario(tmp_path, infinite_grid)]
+    message = "error: scenario.population: delta_max must be finite, got inf\n"
+    if command == "sweep":
+        argv = ["sweep", "example1", "--axis1", "beta:-1e308:1e308:4", "--out", str(out_csv)]
+        message = "error: beta axis range [-1e+308, 1e+308] is too wide: hi - lo overflows\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "creatorgame", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr == message
+    assert not out_csv.exists()
+
+
+HUGE = "1" + "0" * 400
+WEIGHTS = '"weights": {"alpha": 1, "beta": 2, "gamma": 1.5}'
+TOO_LARGE = "expected a number, got an integer too large for a float"
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (
+            '{"weights": {"alpha": %s, "beta": 2, "gamma": 1.5}, "creator": {"delta": 1}}' % HUGE,
+            f"scenario.weights.alpha: {TOO_LARGE}",
+        ),
+        (
+            '{%s, "creator": {"delta": 1}, "population": {"deltas": [1, %s]}}' % (WEIGHTS, HUGE),
+            f"scenario.population.deltas[1]: {TOO_LARGE}",
+        ),
+        (
+            '{%s, "creator": {"delta": 1}, "population": {"grid": {"min": 0, "max": %s, "count": 3}}}' % (WEIGHTS, HUGE),
+            f"scenario.population.grid.max: {TOO_LARGE}",
+        ),
+        (
+            '{"weights": {"alpha": 1, "beta": 2, "gamma": 1.5, "alpha": 9}, "creator": {"delta": 1}}',
+            "scenario: invalid JSON: duplicate key 'alpha'",
+        ),
+        (
+            '{%s, "creator": {"delta": 1}, "creator": {"delta": 3}}' % WEIGHTS,
+            "scenario: invalid JSON: duplicate key 'creator'",
+        ),
+    ],
+)
+def test_unreadable_numbers_and_duplicate_keys_exit_invalid(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["eval", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_integer_literal_past_the_digit_limit_exits_invalid(tmp_path, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    path = tmp_path / "scenario.json"
+    path.write_text('{%s, "creator": {"delta": 1%s}}' % (WEIGHTS, "0" * sys.get_int_max_str_digits()))
+    assert main(["eval", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario: invalid JSON: Exceeds the limit")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["eval", "best-response", "equilibrium", "sweep"])
 def test_nonlinear_drama_risk_overflow_exits_invalid(tmp_path, command):
     # drama_risk**2 overflows a float for a nonlinear creator; every command

@@ -288,24 +288,15 @@ def test_invalid_cells_raise_the_first_scalar_error():
         sweep(SweepAxis("gamma", 0.0, 1e308, 3), SweepAxis("beta", 0.0, 1e308, 3))
 
 
-def _scalar_error(spec):
-    """The error of the first invalid cell on the per-cell scalar path."""
-    with pytest.raises(InvalidScenarioError) as info:
-        _reference_cells(spec)
-    return str(info.value)
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_overflowing_axis_values_raise_the_scalar_error():
-    # hi - lo overflows, so linspace gives nan, inf, ..., hi
-    overflowing = SweepAxis("beta", -1e308, 1e308, 4)
-    values = overflowing.values()
-    assert np.isnan(values[0]) and values[1:] == [np.inf, np.inf, 1e308]
-    for axis1, axis2 in ((overflowing, None), (SweepAxis("delta", 0.0, 1.0, 2), overflowing)):
-        spec = _spec(axis1, axis2=axis2, weights=W_BASE)
+    # hi - lo overflows, so linspace would give nan, inf, ..., hi: the range is refused up front
+    for steps in (4, 1):
         with pytest.raises(InvalidScenarioError) as info:
-            run_sweep(spec)
-        assert str(info.value) == _scalar_error(spec) == "beta must be finite, got nan"
+            SweepAxis("beta", -1e308, 1e308, steps)
+        assert str(info.value) == "beta axis range [-1e+308, 1e+308] is too wide: hi - lo overflows"
+    widest = SweepAxis("beta", -1e308, 7e307, 4)
+    assert widest.values()[0] == -1e308 and widest.values()[-1] == 7e307
+    assert all(np.isfinite(widest.values()))
 
 
 def test_negative_zero_is_a_valid_swept_value():
