@@ -142,12 +142,21 @@ def check_grid_budget(domain: WeightDomain, members: int) -> None:
 
 
 def _axes(domain: WeightDomain) -> tuple[list[float], list[float], list[float]]:
-    """The values i * bound / n, i = 0..n, along alpha, beta and gamma."""
+    """The values i * bound / n, i = 0..n, along alpha, beta and gamma.
+
+    Raises the error of the grid's first invalid point, in (i, j, k) order.
+    Every axis starts at 0 and grows with i, so that point is 0 on every
+    axis but the last one, in alpha, beta, gamma order, whose top value is
+    non-finite: checking the top values of gamma, beta, then alpha gives
+    that point's message.
+    """
     n = domain.resolution
     if isinstance(domain, SimplexDomain):
-        axis = [i * domain.total / n for i in range(n + 1)]
-        return axis, axis, axis
-    bounds = (domain.alpha_max, domain.beta_max, domain.gamma_max)
+        bounds = (domain.total,) * 3
+    else:
+        bounds = (domain.alpha_max, domain.beta_max, domain.gamma_max)
+    for name, bound in zip(("gamma", "beta", "alpha"), reversed(bounds)):
+        _checked(name, n * bound / n)
     return tuple([i * bound / n for i in range(n + 1)] for bound in bounds)
 
 
@@ -228,18 +237,17 @@ def stackelberg_solve(
     chunk holds the grid's next points.
     Weights, shares (kept from the kernel's output) and the result are built
     for the returned optimum only. Errors are those of the point-by-point
-    search: an over-budget grid, then any invalid grid point, then the first
-    failing member at the first failing point, or a non-finite leader value
-    there, then a member whose utility at the optimum is non-finite, then a
-    non-finite population-mean utility.
+    search: an over-budget grid, then the first invalid grid point (named by
+    _axes from the axes' top values), then, at the first failed point, the
+    first member whose response fails (the kernel flags exactly those) or
+    else its non-finite leader value, then a member whose utility at the
+    optimum is non-finite, then a non-finite population-mean utility. The
+    mean sums member utilities left to right in member order.
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
     axis_values = _axes(domain)
     axes = [np.array(axis) for axis in axis_values]
-    # i * bound / n grows with i, so an axis is finite if its last value is
-    if not all(math.isfinite(axis[-1]) for axis in axis_values):
-        enumerate_domain(domain)  # raises the first invalid point's error
     # engagement value is the linear model's (clicks, watch_time, shares)
     c1, c2, c3, _ = features(table.profiles[Strategy.COLLABORATION], UtilityModel.LINEAR)
     b1, b2, b3, _ = features(table.profiles[Strategy.BEEFING], UtilityModel.LINEAR)
@@ -283,17 +291,17 @@ def stackelberg_solve(
             while pending.size:
                 take, pending = pending[:step], pending[step:]
                 chunk = [x[take] for x in (alpha, beta, gamma)]
-                s_collab, s_beef, suspects = _chunk_shares(columns, rule, *chunk)
+                s_collab, s_beef, members_failed = _chunk_shares(columns, rule, *chunk)
                 # algorithm_utility's sum, in its order of operations
                 values = s_collab * e_collab[take] + s_beef * e_beef[take]
                 failed = ~np.isfinite(values)
-                if suspects is not None:
-                    failed |= suspects.any(axis=1)
-                for p in np.flatnonzero(failed).tolist():  # the first failure, in point order
-                    if suspects is not None:
-                        _raise_member_error(columns, rule, tuple(float(x[p]) for x in chunk), suspects[p])
-                    if not math.isfinite(values[p]):
-                        raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
+                if members_failed is not None:
+                    failed |= members_failed.any(axis=1)
+                if failed.any():  # the first failed point raises: a member's error, else its leader value's
+                    p = int(np.argmax(failed))
+                    if members_failed is not None and members_failed[p].any():
+                        _raise_member_error(columns, rule, tuple(float(x[p]) for x in chunk), members_failed[p])
+                    raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
                 # With tie_tol >= 0 a point that wins beats every earlier value,
                 # so only the strict records of the running maximum can win.
                 ceiling = np.maximum.accumulate(np.concatenate(([best_value], values[:-1])))
@@ -311,7 +319,9 @@ def stackelberg_solve(
     utilities = {}
     for s in Strategy:
         profile = table.profiles[s]
-        total = sum(_member_utility(best_weights, idx, m, profile) for idx, m in enumerate(pop.members))
+        total = 0.0  # left to right: sum() compensates its rounding from Python 3.12 on
+        for idx, m in enumerate(pop.members):
+            total += _member_utility(best_weights, idx, m, profile)
         utilities[s] = total / len(pop.members)
     for s, value in utilities.items():  # the sum of finite member utilities can overflow
         if not math.isfinite(value):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -116,9 +116,9 @@ def _chunk_shares(
     probabilities are summed pairwise.
 
     Returns both shares as (points,) arrays and a (points, members) mask of
-    the members that may have failed at each point, or None when none may
-    have: the caller re-runs them through _raise_member_error. Callers
-    silence numpy's floating-point warnings.
+    the members whose respond raises at each point, or None exactly when no
+    member fails: the caller raises the first one's error through
+    _raise_member_error. Callers silence numpy's floating-point warnings.
     """
     f1, f2, f3 = columns.feat
     a, b, g = alpha[:, None, None], beta[:, None, None], gamma[:, None, None]
@@ -131,6 +131,7 @@ def _chunk_shares(
     u_beef = e[:, 1] - columns.risk_cost[1]
     gap = u_beef - u_collab
     n = len(columns.pop)
+    failed = None
     if isinstance(rule, Quantal):
         # The larger utility's shifted score is exp(0) = 1 and the other's
         # exp(-lam * |gap|), so one exp per member gives respond's scores.
@@ -144,32 +145,38 @@ def _chunk_shares(
             p_collab[overflow] = p_beef[overflow] = np.nan
         # C-ordered rows are summed pairwise, as in population_shares' one-point call
         total_collab = p_collab.sum(axis=1)
-        suspects = None
         if not (finite and math.isfinite(total_collab.sum())):  # some member may have failed
-            suspects = ~(np.isfinite(u_collab) & np.isfinite(u_beef) & np.isfinite(p_collab))
-        return total_collab / n, p_beef.sum(axis=1) / n, suspects
-    if isinstance(rule, Exact):
-        beefing = gap > rule.tie_tol
-    elif isinstance(rule, Satisficing):
-        beefing = (u_collab < rule.aspiration) & ((u_beef >= rule.aspiration) | (gap > TIE_TOLERANCE))
+            failed = ~(np.isfinite(u_collab) & np.isfinite(u_beef) & np.isfinite(p_collab))
+        s_collab, s_beef = total_collab / n, p_beef.sum(axis=1) / n
     else:
-        raise TypeError(f"unknown response rule: {rule!r}")
-    suspects = None if finite else ~(np.isfinite(u_collab) & np.isfinite(u_beef))
-    beefs = np.count_nonzero(beefing, axis=1)
-    return (n - beefs) / n, beefs / n, suspects
+        if isinstance(rule, Exact):
+            beefing, reads_beef = gap > rule.tie_tol, True
+        elif isinstance(rule, Satisficing):
+            # respond reads Beefing's utility only when Collaboration's falls short
+            reads_beef = u_collab < rule.aspiration
+            beefing = reads_beef & ((u_beef >= rule.aspiration) | (gap > TIE_TOLERANCE))
+        else:
+            raise TypeError(f"unknown response rule: {rule!r}")
+        if not finite:
+            failed = ~np.isfinite(u_collab) | (reads_beef & ~np.isfinite(u_beef))
+        beefs = np.count_nonzero(beefing, axis=1)
+        s_collab, s_beef = (n - beefs) / n, beefs / n
+    return s_collab, s_beef, failed if failed is not None and failed.any() else None
 
 
 def _raise_member_error(
-    columns: _Columns, rule: ResponseRule, weights: tuple[float, float, float], suspects: np.ndarray
-) -> None:
-    """Re-run the suspect members of one point through respond in order; the
-    first whose response fails raises its error, tagged with its index.
-    Suspects must include every member that fails."""
-    for idx in np.flatnonzero(suspects).tolist():
-        try:
-            respond(rule, AlgorithmWeights(*weights), columns.pop.members[idx], columns.table)
-        except InvalidScenarioError as exc:
-            raise InvalidScenarioError(f"member {idx}: {exc}") from exc
+    columns: _Columns, rule: ResponseRule, weights: tuple[float, float, float], failed: np.ndarray
+) -> NoReturn:
+    """Raise the error of the first member flagged in `failed`, one point's
+    row of _chunk_shares' mask, tagged with its index: respond raises it.
+    A flagged member that respond accepts is a kernel fault, raised as an
+    AssertionError."""
+    idx = int(np.argmax(failed))
+    try:
+        respond(rule, AlgorithmWeights(*weights), columns.pop.members[idx], columns.table)
+    except InvalidScenarioError as exc:
+        raise InvalidScenarioError(f"member {idx}: {exc}") from exc
+    raise AssertionError(f"member {idx} was flagged as failing at {weights} but responds")
 
 
 def population_shares(
@@ -187,9 +194,9 @@ def population_shares(
     point = (weights.alpha, weights.beta, weights.gamma)
     with np.errstate(all="ignore"):
         columns = _columns(pop, table)
-        collab, beef, suspects = _chunk_shares(columns, rule, *(np.array([w]) for w in point))
-    if suspects is not None:
-        _raise_member_error(columns, rule, point, suspects[0])
+        collab, beef, failed = _chunk_shares(columns, rule, *(np.array([w]) for w in point))
+    if failed is not None:
+        _raise_member_error(columns, rule, point, failed[0])
     return StrategyShares({Strategy.COLLABORATION: float(collab[0]), Strategy.BEEFING: float(beef[0])})
 
 

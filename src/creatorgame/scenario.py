@@ -242,13 +242,13 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario from a JSON file.
 
     Raises OSError for I/O problems and ScenarioError for content problems,
-    a key given twice in one object included.
+    a key given twice in one object and nesting too deep to decode included.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also integer literals past int's digit limit
+    except (ValueError, RecursionError) as exc:  # also integers past int's digit limit, and deep nesting
         raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
     return parse_scenario(doc)
 

@@ -270,6 +270,16 @@ def test_integer_literal_past_the_digit_limit_exits_invalid(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_deeply_nested_json_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["eval", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario: invalid JSON: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["eval", "best-response", "equilibrium", "sweep"])
 def test_nonlinear_drama_risk_overflow_exits_invalid(tmp_path, command):
     # drama_risk**2 overflows a float for a nonlinear creator; every command

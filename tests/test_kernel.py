@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creatorgame import leader
+from creatorgame import leader, population
 from creatorgame import (
     AlgorithmWeights,
     BoxDomain,
@@ -108,6 +108,14 @@ RULES = {
 MODEL_MIXES = {"linear": (LINEAR,), "nonlinear": (NONLINEAR,), "mixed": (LINEAR, NONLINEAR)}
 
 
+def _sum_left_to_right(values):
+    """The float sum in iteration order; sum() compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _assert_shares_match(actual, expected, quantal):
     for s in Strategy:
         if quantal:
@@ -136,7 +144,8 @@ def test_solver_matches_the_scalar_reference(rule_name, mix):
             assert result.leader_value == value
         assert result.grid_points_evaluated == len(enumerate_domain(domain))
         assert result.creator_utilities == {
-            s: sum(creator_utility(weights, m, table.profiles[s]) for m in pop.members) / len(pop.members)
+            s: _sum_left_to_right(creator_utility(weights, m, table.profiles[s]) for m in pop.members)
+            / len(pop.members)
             for s in Strategy
         }
 
@@ -259,6 +268,31 @@ def test_huge_domain_bound_raises_the_weight_error_first(rule):
         assert str(info.value) == expected
 
 
+@pytest.mark.parametrize(
+    ("domain", "message"),
+    [
+        # 215**3 = 9,938,375 points, within the budget
+        (BoxDomain(1e308, 1.0, 1.0, resolution=214), "alpha must be finite, got inf"),
+        # the first invalid point, (0, j, 0), is finite on alpha
+        (BoxDomain(1e308, 1e308, 1.0, resolution=214), "beta must be finite, got inf"),
+        # 9,997,156 points; the first one, (0, 0, total), fails on gamma
+        (SimplexDomain(1e308, 4470), "gamma must be finite, got inf"),
+    ],
+)
+def test_overflowing_domain_bound_raises_before_building_the_grid(domain, message):
+    pop = Population((CreatorParams(1.0),))
+    for fn in (lambda: stackelberg_solve(domain, pop, Exact(), DEFAULT_TABLE), lambda: enumerate_domain(domain)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidScenarioError) as info:
+                fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("rule", RULE_CASES)
 def test_leader_overflow_raises_the_reference_error(rule):
     # nonlinear creators see log1p(clicks); the leader values raw clicks
@@ -275,6 +309,33 @@ def test_leader_overflow_raises_the_reference_error(rule):
     with pytest.raises(InvalidScenarioError) as info:
         stackelberg_solve(domain, pop, rule, table)
     assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("rule", RULE_CASES)
+def test_leader_failure_before_a_member_failure_in_one_chunk(rule):
+    # At (0, 1e300, 0) the nonlinear member sees sqrt(watch_time) and stays
+    # finite while the leader's raw watch time overflows; at (1e306, 0, 0)
+    # the member's log1p(clicks) utility overflows too, later in the chunk.
+    table = GameTable(
+        {
+            Strategy.COLLABORATION: EngagementProfile(1.0, 1.0, 1.0, 0.0),
+            Strategy.BEEFING: EngagementProfile(1e308, 1e10, 1.0, 1.0),
+        }
+    )
+    pop = Population((CreatorParams(0.0, NONLINEAR),))
+    domain = BoxDomain(1e306, 1e300, 1.0, resolution=1)
+    expected = _reference_error(lambda: _reference_solve(domain, pop, rule, table))
+    assert expected.startswith("leader value is non-finite")
+    with pytest.raises(InvalidScenarioError) as info:
+        stackelberg_solve(domain, pop, rule, table)
+    assert str(info.value) == expected
+
+
+def test_a_flagged_member_that_responds_is_a_kernel_fault():
+    pop = Population((CreatorParams(1.0), CreatorParams(2.0)))
+    columns = population._columns(pop, DEFAULT_TABLE)
+    with pytest.raises(AssertionError, match="member 1 "):
+        population._raise_member_error(columns, Exact(), (1.0, 0.0, 0.0), np.array([False, True]))
 
 
 @pytest.mark.parametrize("rule", RULE_CASES)
@@ -309,6 +370,25 @@ def test_satisficing_members_above_aspiration_never_fail_on_beefing():
     domain = SimplexDomain(1.0, 4)
     result = stackelberg_solve(domain, pop, rule, table)
     assert (result.weights, result.shares, result.leader_value) == _reference_solve(domain, pop, rule, table)
+
+
+@pytest.mark.parametrize("resolution", [10, 1000])
+def test_satisficing_cliff_raises_without_re_running_members(resolution):
+    # Collaboration meets the aspiration at every point, so no response
+    # fails and the search calls respond for no member; Beefing's -inf
+    # utility fails only the population-mean step at the optimum.
+    table = GameTable(
+        {
+            Strategy.COLLABORATION: DEFAULT_TABLE.profiles[Strategy.COLLABORATION],
+            Strategy.BEEFING: EngagementProfile(5.0, 2.0, 4.0, 1e10),
+        }
+    )
+    pop = Population((CreatorParams(1e300),))
+    with mock.patch.object(population, "respond", wraps=respond) as calls:
+        with pytest.raises(InvalidScenarioError) as info:
+            stackelberg_solve(SimplexDomain(1.0, resolution), pop, Satisficing(0.0), table)
+    assert str(info.value) == "member 0: creator utility is non-finite (-inf); inputs too extreme"
+    assert calls.call_count <= 1
 
 
 def test_grid_size_counts_the_enumerated_points():

@@ -1,6 +1,8 @@
 """The member kernel against an oracle: the (points, 2, members) kernel it
-replaced, kept here verbatim. Shares must be equal, not close, and the
-suspect masks must flag the same members."""
+replaced, kept here verbatim. Shares must be equal, not close. The kernel
+flags exactly the members whose respond raises; the oracle's masks flag the
+same members under the exact and quantal rules, and a superset of them
+under satisficing."""
 
 import math
 from typing import NamedTuple
@@ -23,6 +25,7 @@ from creatorgame import (
     UtilityModel,
     creator_utility,
     population,
+    respond,
     switching_delta,
 )
 from creatorgame.core import features
@@ -188,6 +191,10 @@ def _case(collab, beef, deltas, rule, *points):
 # An engagement sum overflows to +inf: the oracle's shifted exponent is
 # inf - inf, and both of the member's probabilities are nan.
 @example(case=_case((1.7e308, 0, 0, 0), (0, 0, 0, 0), (0.0,), Quantal(1.0), (2.0, 0.0, 0.0)))
+# Collaboration meets the aspiration, so Beefing's -inf utility is never
+# evaluated: the oracle flags the member, which does not fail, and the
+# kernel's mask is None, not a mask with nothing flagged.
+@example(case=_case((0, 0, 0, 0), (0, 0, 0, 1e8), (1.7e308,), Satisficing(0.0), (0.0, 0.0, 0.0)))
 def test_property_kernel_equals_the_oracle(case):
     pop, rule, alpha, beta, gamma, table = case
     with np.errstate(all="ignore"):
@@ -200,8 +207,26 @@ def test_property_kernel_equals_the_oracle(case):
     # utilities can overflow although each is finite); the kernel returns
     # None exactly when no member is flagged.
     shape = (len(alpha), len(pop))
-    assert np.array_equal(_flags(actual[2], shape), _flags(expected[2], shape))
+    flagged, oracle_flagged = _flags(actual[2], shape), _flags(expected[2], shape)
+    if isinstance(rule, Satisficing):  # the oracle flags Beefing's utility even when respond never reads it
+        assert not (flagged & ~oracle_flagged).any()
+    else:
+        assert np.array_equal(flagged, oracle_flagged)
     assert actual[2] is None or actual[2].any()
+    assert np.array_equal(flagged, _respond_fails(pop, rule, alpha, beta, gamma, table))
+
+
+def _respond_fails(pop, rule, alpha, beta, gamma, table):
+    """(points, members) mask of the members whose respond raises at each point."""
+    fails = np.zeros((len(alpha), len(pop)), dtype=bool)
+    for p, point in enumerate(zip(alpha.tolist(), beta.tolist(), gamma.tolist())):
+        weights = AlgorithmWeights(*point)
+        for idx, member in enumerate(pop.members):
+            try:
+                respond(rule, weights, member, table)
+            except InvalidScenarioError:
+                fails[p, idx] = True
+    return fails
 
 
 def test_one_model_populations_share_one_feature_column():
