@@ -10,9 +10,10 @@ Subcommands:
 
 Scenario arguments accept a JSON file path or a preset name (example1,
 example2, example3, tiktok-like, youtube-like); an existing file wins over
-a preset of the same name. All numeric output uses 9 significant digits in
-fixed key=value lines. Exit codes: 0 success, 1 I/O failure, 2 invalid
-scenario or flags, 3 example checks failed.
+a preset of the same name. Output is fixed key=value lines; reals use 9
+significant digits, but best-response's delta_star has 9 fixed decimals.
+Exit codes: 0 success, 1 I/O failure, 2 invalid scenario or flags, 3 example
+checks failed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     InvalidScenarioError,
     Strategy,
     creator_utility,
-    utility_gap,
 )
 from .leader import check_grid_budget, stackelberg_solve
 from .response import Exact, best_response, switching_delta
@@ -57,10 +57,9 @@ def _resolve_scenario(arg: str) -> Scenario:
 
 def _cmd_eval(scenario: Scenario) -> int:
     utilities = [creator_utility(scenario.weights, scenario.creator, scenario.table.profiles[s]) for s in Strategy]
-    gap = utility_gap(scenario.weights, scenario.creator, scenario.table)
     for strategy, value in zip(Strategy, utilities):
         print(f"{strategy.value}={_fmt(value)}")
-    print(f"gap={_fmt(gap)}")
+    print(f"gap={_fmt(utilities[1] - utilities[0])}")  # Beefing's minus Collaboration's, as utility_gap
     return EXIT_OK
 
 

@@ -130,7 +130,7 @@ DEFAULT_TABLE = GameTable(
 
 def features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, float, float, float]:
     """The feature map of one strategy's profile: (f1, f2, f3, r), so that the
-    creator's utility is alpha*f1 + beta*f2 + gamma*f3 - delta*r.
+    creator's utility is w·φ - delta*r, with w·φ summed by _engagement.
 
     Linear model: (clicks, watch_time, shares, drama_risk).
     Nonlinear model (diminishing returns, quadratic drama penalty):
@@ -147,11 +147,17 @@ def features(profile: EngagementProfile, model: UtilityModel) -> tuple[float, fl
     return math.log1p(profile.clicks), math.sqrt(profile.watch_time), profile.shares, r
 
 
+def _engagement(alpha, beta, gamma, phi):
+    """w·φ = (alpha*φ[0] + beta*φ[1]) + gamma*φ[2], for floats and broadcasting
+    arrays alike: the one place that fixes the order of every engagement sum."""
+    return (alpha * phi[0] + beta * phi[1]) + gamma * phi[2]
+
+
 def creator_utility(
     weights: AlgorithmWeights, params: CreatorParams, profile: EngagementProfile
 ) -> float:
     """Creator payoff for one strategy's engagement profile:
-    ((alpha*f1 + beta*f2) + gamma*f3) - delta*r over the model's features.
+    _engagement(w, φ) - delta*φ[3] over the model's features φ.
 
     Linear model:
         alpha*clicks + beta*watch_time + gamma*shares - delta*drama_risk
@@ -162,8 +168,8 @@ def creator_utility(
     The logarithm is the natural log. Pure and deterministic; raises
     InvalidScenarioError if the result is non-finite (extreme inputs).
     """
-    f1, f2, f3, r = features(profile, params.model)
-    value = weights.alpha * f1 + weights.beta * f2 + weights.gamma * f3 - params.delta * r
+    phi = features(profile, params.model)
+    value = _engagement(weights.alpha, weights.beta, weights.gamma, phi) - params.delta * phi[3]
     if not math.isfinite(value):
         raise InvalidScenarioError(f"creator utility is non-finite ({value!r}); inputs too extreme")
     return value

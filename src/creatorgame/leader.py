@@ -26,6 +26,7 @@ from .core import (
     Strategy,
     UtilityModel,
     _checked,
+    _engagement,
     creator_utility,
     features,
 )
@@ -112,8 +113,8 @@ def algorithm_utility(weights: AlgorithmWeights, shares: StrategyShares, table: 
     """Share-weighted engagement value. Drama risk does not enter."""
     total = 0.0
     for s in Strategy:
-        f1, f2, f3, _ = features(table.profiles[s], UtilityModel.LINEAR)
-        total += shares.share[s] * (weights.alpha * f1 + weights.beta * f2 + weights.gamma * f3)
+        phi = features(table.profiles[s], UtilityModel.LINEAR)
+        total += shares.share[s] * _engagement(weights.alpha, weights.beta, weights.gamma, phi)
     if not math.isfinite(total):
         raise InvalidScenarioError(f"leader value is non-finite ({total!r})")
     return total
@@ -197,9 +198,7 @@ def _values_stay_finite(columns: _Columns, top: tuple[float, float, float], lead
     that, and a leader value at most leader_top times (1 + a few ulps): a
     factor 4 keeps them all finite.
     """
-    a, b, g = top
-    f1, f2, f3 = columns.feat
-    utility = ((a * f1 + b * f2) + g * f3).max() + columns.risk_cost.max()
+    utility = _engagement(*top, columns.feat).max() + columns.risk_cost.max()
     return math.isfinite(4.0 * utility) and math.isfinite(4.0 * leader_top)
 
 
@@ -249,8 +248,7 @@ def stackelberg_solve(
     axis_values = _axes(domain)
     axes = [np.array(axis) for axis in axis_values]
     # engagement value is the linear model's (clicks, watch_time, shares)
-    c1, c2, c3, _ = features(table.profiles[Strategy.COLLABORATION], UtilityModel.LINEAR)
-    b1, b2, b3, _ = features(table.profiles[Strategy.BEEFING], UtilityModel.LINEAR)
+    phi_collab, phi_beef = (features(table.profiles[s], UtilityModel.LINEAR) for s in Strategy)
 
     points = grid_size(domain)
     step = max(1, _CHUNK_EVALUATIONS // len(pop))
@@ -268,8 +266,8 @@ def stackelberg_solve(
     # beat it by more than tie_tol >= 0, nor the later incumbents, which
     # are larger.
     widen = 1.0 + (len(pop) + 8) * 2.0**-52
-    a, b, g = top = tuple(axis[-1] for axis in axis_values)
-    leader_top = max((a * c1 + b * c2) + g * c3, (a * b1 + b * b2) + g * b3)
+    top = tuple(axis[-1] for axis in axis_values)
+    leader_top = max(_engagement(*top, phi_collab), _engagement(*top, phi_beef))
     best, best_value, best_shares = None, -math.inf, None
     block = max(1, _BLOCK_POINTS // step) * step  # whole chunks
     with np.errstate(all="ignore"):  # failures are found by _chunk_shares and below
@@ -279,8 +277,8 @@ def stackelberg_solve(
         for lo in range(0, points, block):
             indices = _grid_indices(domain, lo, min(lo + block, points))
             alpha, beta, gamma = (axis[idx] for axis, idx in zip(axes, indices))
-            e_collab = (alpha * c1 + beta * c2) + gamma * c3
-            e_beef = (alpha * b1 + beta * b2) + gamma * b3
+            e_collab = _engagement(alpha, beta, gamma, phi_collab)
+            e_beef = _engagement(alpha, beta, gamma, phi_beef)
             # Compacted candidates: the next step points whose bound beats the
             # incumbent, filtered again after each chunk. Every bound beats
             # -inf, so the first chunk holds the grid's first step points;

@@ -21,6 +21,7 @@ from .core import (
     Strategy,
     UtilityModel,
     _checked,
+    _engagement,
     features,
 )
 from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
@@ -108,10 +109,10 @@ def _chunk_shares(
     respond's semantics, over all members at once.
 
     alpha, beta and gamma have shape (points,). The engagement sums
-    e = (alpha*f1 + beta*f2) + gamma*f3 are computed once per point,
-    strategy and model, and each utility is e - delta*r, in creator_utility's
-    order, so exact and satisficing shares are the same head-count fractions
-    as the per-member path, bit for bit. Quantal shares agree with it to
+    e = w·φ are computed by core._engagement once per point, strategy and
+    model, and each utility is e - delta*r, as in creator_utility, so exact
+    and satisficing shares are the same head-count fractions as the
+    per-member path, bit for bit. Quantal shares agree with it to
     1e-12 only: np.exp may differ from math.exp by one ulp, and the
     probabilities are summed pairwise.
 
@@ -120,9 +121,7 @@ def _chunk_shares(
     member fails: the caller raises the first one's error through
     _raise_member_error. Callers silence numpy's floating-point warnings.
     """
-    f1, f2, f3 = columns.feat
-    a, b, g = alpha[:, None, None], beta[:, None, None], gamma[:, None, None]
-    e = (a * f1 + b * f2) + g * f3
+    e = _engagement(alpha[:, None, None], beta[:, None, None], gamma[:, None, None], columns.feat)
     # e and delta*r are >= 0, so every utility is finite when both are
     finite = columns.risk_finite and bool(np.isfinite(e).all())
     if columns.model is not None:  # take keeps the (points, 2, members) gather C-ordered

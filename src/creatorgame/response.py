@@ -21,6 +21,7 @@ from .core import (
     Strategy,
     UtilityModel,
     _checked,
+    _engagement,
     creator_utility,
     features,
     utility_gap,
@@ -143,10 +144,9 @@ def switching_delta(
     (equal risks). A negative result is returned as-is and means beefing
     is never preferred at any admissible delta >= 0.
     """
-    b1, b2, b3, b_risk = features(table.profiles[Strategy.BEEFING], model)
-    c1, c2, c3, c_risk = features(table.profiles[Strategy.COLLABORATION], model)
-    numer = weights.alpha * (b1 - c1) + weights.beta * (b2 - c2) + weights.gamma * (b3 - c3)
-    denom = b_risk - c_risk
-    if denom == 0.0:
+    beef = features(table.profiles[Strategy.BEEFING], model)
+    collab = features(table.profiles[Strategy.COLLABORATION], model)
+    diff = [b - c for b, c in zip(beef, collab)]
+    if diff[3] == 0.0:
         return None
-    return numer / denom
+    return _engagement(weights.alpha, weights.beta, weights.gamma, diff) / diff[3]

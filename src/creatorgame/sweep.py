@@ -19,12 +19,11 @@ import numpy as np
 from .core import (
     AlgorithmWeights,
     CreatorParams,
-    EngagementProfile,
     GameTable,
     InvalidScenarioError,
     Strategy,
-    UtilityModel,
     _checked,
+    _engagement,
     creator_utility,
     features,
 )
@@ -159,13 +158,6 @@ class SweepResult(Sequence[SweepCell]):
         )
 
 
-def _utility(params: dict, model: UtilityModel, profile: EngagementProfile) -> np.ndarray:
-    """creator_utility over arrays of swept values, with its operations in its
-    order, so that every value is bit-identical to the scalar one."""
-    f1, f2, f3, risk = features(profile, model)
-    return (params["alpha"] * f1 + params["beta"] * f2 + params["gamma"] * f3 - params["delta"] * risk).ravel()
-
-
 def _fixed_params(spec: SweepSpec) -> dict[str, float]:
     return {
         "alpha": spec.weights.alpha,
@@ -188,6 +180,9 @@ def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending.
 
+    Each utility is creator_utility's sum over the swept arrays,
+    core._engagement(w, φ) - delta*r, so every value has the scalar bits.
+
     Raises the error the first invalid cell raises in that order: a swept
     value that is negative or non-finite, or a non-finite utility.
     """
@@ -199,8 +194,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
         for a, (name, axis_values) in enumerate(zip(names, values)):
             params[name] = axis_values.reshape([-1 if b == a else 1 for b in range(len(axes))])
-        u_collab = _utility(params, spec.creator.model, spec.table.profiles[Strategy.COLLABORATION])
-        u_beef = _utility(params, spec.creator.model, spec.table.profiles[Strategy.BEEFING])
+        u_collab, u_beef = (
+            (_engagement(params["alpha"], params["beta"], params["gamma"], phi) - params["delta"] * phi[3]).ravel()
+            for phi in (features(spec.table.profiles[s], spec.creator.model) for s in Strategy)
+        )
         gap = u_beef - u_collab
     result = SweepResult(
         names,

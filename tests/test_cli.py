@@ -58,12 +58,17 @@ def test_eval_zero_weights(tmp_path, capsys):
     assert out == ["Collaboration=0", "Beefing=0", "gap=0"]
 
 
-def test_best_response_lines(capsys):
+def test_best_response_lines(tmp_path, capsys):
     assert main(["best-response", "example1"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["chosen=Collaboration", "delta_star=none"]
 
     assert main(["best-response", "example3"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["chosen=Beefing", "delta_star=2.666666667"]
+
+    # 9 fixed decimals, not 9 significant digits: 1e6 * 3 clicks / 3 drama risk
+    doc = {"weights": {"alpha": 1e6, "beta": 0, "gamma": 0}, "creator": {"delta": 1}}
+    assert main(["best-response", _write_scenario(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["chosen=Beefing", "delta_star=1000000.000000000"]
 
 
 def test_best_response_tie_scenario(tmp_path, capsys):

@@ -14,8 +14,11 @@ from creatorgame import (
     GameTable,
     InvalidScenarioError,
     Strategy,
+    StrategyShares,
     UtilityModel,
+    algorithm_utility,
     creator_utility,
+    switching_delta,
     utility_gap,
 )
 
@@ -119,6 +122,35 @@ def test_nonlinear_concavity_in_metrics():
     risk_diffs = np.diff(risk_values)
     assert all(d <= 0.0 for d in risk_diffs)  # non-increasing in drama risk
     assert all(risk_diffs[i + 1] <= risk_diffs[i] + 1e-12 for i in range(len(risk_diffs) - 1))
+
+
+def test_engagement_sums_in_one_written_out_order():
+    # Every utility, gap, switching delta and leader value shares one sum in
+    # the package, so comparing those paths with each other cannot catch a
+    # changed order of operations: these formulas are written out instead.
+    rng = np.random.default_rng(20251019)
+    regrouped = 0
+    for _ in range(200):
+        a, b, g, d, share = rng.uniform(0.1, 10.0, size=5).tolist()
+        share /= 10.0
+        c1, c2, c3, cr, b1, b2, b3, br = rng.uniform(0.1, 10.0, size=8).tolist()
+        collab, beef = EngagementProfile(c1, c2, c3, cr), EngagementProfile(b1, b2, b3, br)
+        table = GameTable({Strategy.COLLABORATION: collab, Strategy.BEEFING: beef})
+        weights = AlgorithmWeights(a, b, g)
+        for x1, x2, x3, r, profile in ((c1, c2, c3, cr, collab), (b1, b2, b3, br, beef)):
+            linear = creator_utility(weights, CreatorParams(d), profile)
+            assert linear == ((a * x1 + b * x2) + g * x3) - d * r
+            nonlinear = creator_utility(weights, CreatorParams(d, UtilityModel.NONLINEAR), profile)
+            assert nonlinear == ((a * math.log1p(x1) + b * math.sqrt(x2)) + g * x3) - d * r**2
+            regrouped += (a * x1 + b * x2) + g * x3 != a * x1 + (b * x2 + g * x3)
+        numer = (a * (b1 - c1) + b * (b2 - c2)) + g * (b3 - c3)
+        assert switching_delta(weights, UtilityModel.LINEAR, table) == numer / (br - cr)
+        numer = (a * (math.log1p(b1) - math.log1p(c1)) + b * (math.sqrt(b2) - math.sqrt(c2))) + g * (b3 - c3)
+        assert switching_delta(weights, UtilityModel.NONLINEAR, table) == numer / (br**2 - cr**2)
+        shares = StrategyShares({Strategy.COLLABORATION: share, Strategy.BEEFING: 1.0 - share})
+        value = share * ((a * c1 + b * c2) + g * c3) + (1.0 - share) * ((a * b1 + b * b2) + g * b3)
+        assert algorithm_utility(weights, shares, table) == value
+    assert regrouped > 50  # the draws tell the two groupings apart
 
 
 def test_utilities_are_pure():

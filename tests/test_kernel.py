@@ -59,9 +59,10 @@ def _reference_shares(pop, rule, weights, table):
 
 
 def _reference_solve(domain, pop, rule, table, tie_tol=LEADER_TIE_TOLERANCE):
-    """(weights, shares, value) of the point-by-point search."""
+    """(weights, shares, value) of the point-by-point search, over points
+    from the written-out nested loops, all validated before any is solved."""
     best = None
-    for weights in enumerate_domain(domain):
+    for weights in [AlgorithmWeights(*point) for point in _nested_loop_points(domain)]:
         shares = _reference_shares(pop, rule, weights, table)
         value = algorithm_utility(weights, shares, table)
         if best is None or value > best[2] + tie_tol:
