@@ -23,9 +23,7 @@ import contextlib
 import errno
 import os
 import sys
-from collections.abc import Callable
 from pathlib import Path
-from typing import BinaryIO
 
 from .core import (
     AlgorithmWeights,
@@ -39,7 +37,7 @@ from .core import (
 from .leader import check_grid_budget, stackelberg_solve
 from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
-from .sweep import SweepAxis, SweepResult, SweepSpec, _check_region_lattice, _fmt, emit_csv, emit_region_svg, run_sweep
+from .sweep import SweepAxis, SweepSpec, _csv_writer, _emit, _fmt, _Lattice, _svg_writer, _Writer
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -105,18 +103,21 @@ def _parse_axis(flag: str) -> SweepAxis:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}") from exc
 
 
-def _write_all(cells: SweepResult, outputs: list[tuple[str, Callable[[SweepResult, BinaryIO], None]]]) -> None:
-    """Emit the cells straight into a temporary file beside each output's
-    target, then move them into place only once every output is written."""
+def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
+    """Evaluate the lattice block by block and write each block straight into
+    a temporary file beside each output's target, then move them into place
+    only once every output is written."""
     temps = []
     try:
-        for path, emit in outputs:
-            if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
-                raise IsADirectoryError(errno.EISDIR, "is a directory", path)
-            temp = f"{path}.{os.urandom(6).hex()}.tmp"
-            with open(temp, "xb") as sink:
+        with contextlib.ExitStack() as stack:
+            streams = []
+            for path, writer in outputs:
+                if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
+                    raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+                temp = f"{path}.{os.urandom(6).hex()}.tmp"
+                streams.append((writer, stack.enter_context(open(temp, "xb"))))
                 temps.append(temp)
-                emit(cells, sink)
+            _emit(streams, lattice.blocks())
         for temp, (path, _) in zip(temps, outputs):
             os.replace(temp, path)
     finally:
@@ -138,11 +139,13 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         table=scenario.table,
         rule=scenario.rule,
     )
-    cells = run_sweep(spec)
-    if svg is not None:
-        _check_region_lattice(cells)  # before anything is emitted or written
-    _write_all(cells, [(path, emit) for path, emit in ((out, emit_csv), (svg, emit_region_svg)) if path is not None])
-    print(f"rows={len(cells)}")
+    lattice = _Lattice(spec)
+    for _ in lattice.blocks():  # raises the first invalid cell's error before any file is opened
+        pass
+    formats = [(path, writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer)) if path is not None]
+    outputs = [(path, writer(lattice.names, lattice.values)) for path, writer in formats]  # one-axis --svg raises
+    _write_all(lattice, outputs)
+    print(f"rows={lattice.cells}")
     return EXIT_OK
 
 

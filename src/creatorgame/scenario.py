@@ -247,7 +247,7 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        doc = json.loads(raw, object_pairs_hook=_unique_keys)
+        doc = _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))  # json.loads's path for bytes
     except (ValueError, RecursionError) as exc:  # also integers past int's digit limit, and deep nesting
         raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
     return parse_scenario(doc)
@@ -262,3 +262,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
                 raise ValueError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once: it holds a compiled scanner

@@ -1,18 +1,20 @@
 """Parameter sweeps and strategy-region maps over (weights, delta) space.
 
 A sweep fixes a full scenario and varies one or two of alpha, beta, gamma,
-delta over inclusive, evenly spaced grids. The whole lattice is evaluated in
-one numpy pass: each cell holds both creator utilities, their gap, and the
-chosen (exact best-response) strategy. Cells can be emitted as CSV or, for
-two-axis sweeps, as a deterministic SVG region map.
+delta over inclusive, evenly spaced grids. The lattice is evaluated with
+numpy, one block of cells at a time: each cell holds both creator utilities,
+their gap, and the chosen (exact best-response) strategy. Cells can be
+emitted as CSV or, for two-axis sweeps, as a deterministic SVG region map;
+run_sweep materialises the whole lattice, while the CLI evaluates and writes
+it block by block.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -35,8 +37,11 @@ SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
 COLLABORATION_COLOR = "#4f9d69"
 BEEFING_COLOR = "#c0504d"
 
-# Rows (cells) each emitter formats and writes at once.
-_EMIT_ROWS = 16384
+# Rows (cells) evaluated, formatted and written at once, set by measurement
+# on a 2-vCPU Xeon: a 1000 x 1000 CLI sweep with --svg peaks 1.8 MiB above
+# its post-import memory (8.4 MiB at 16384 rows), and 100-200 step two-axis
+# sweeps ran faster than at 1024 or 16384 rows.
+_EMIT_ROWS = 2048
 
 
 class MalformedLatticeError(ValueError):
@@ -177,43 +182,58 @@ def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
     raise AssertionError(f"cell {cell} was flagged invalid but evaluates")
 
 
+class _Lattice:
+    """The cells of a sweep, axis1 outer and axis2 inner, both ascending,
+    evaluated in blocks: cell k sits at position divmod(k, steps2)."""
+
+    def __init__(self, spec: SweepSpec) -> None:
+        axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
+        self.spec = spec
+        self.names = tuple(axis.name for axis in axes)
+        with np.errstate(all="ignore"):  # invalid cells are found and reported by evaluate
+            self.values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
+        self.cells = math.prod(axis.steps for axis in axes)
+        # _checked's test of each swept value, -0.0 included, kept for the axes that fail it somewhere
+        valid = (np.isfinite(v) & (v >= 0.0) for v in self.values)
+        self._invalid_axes = [(a, ok) for a, ok in enumerate(valid) if not ok.all()]
+        self._phi = [features(spec.table.profiles[s], spec.creator.model) for s in Strategy]
+
+    def evaluate(self, lo: int, hi: int) -> SweepResult:
+        """Cells lo..hi-1. Each utility is creator_utility's sum over the
+        swept arrays, core._engagement(w, φ) - delta*r, so every value has
+        the scalar bits. Raises the error of the first invalid cell."""
+        k = np.arange(lo, hi)
+        position = np.stack(np.divmod(k, len(self.values[1]))) if len(self.values) == 2 else k[np.newaxis]
+        params = _fixed_params(self.spec)
+        for name, values, i in zip(self.names, self.values, position):
+            params[name] = values[i]
+        with np.errstate(all="ignore"):
+            u_collab, u_beef = (
+                _engagement(params["alpha"], params["beta"], params["gamma"], phi) - params["delta"] * phi[3]
+                for phi in self._phi
+            )
+            gap = u_beef - u_collab
+        block = SweepResult(self.names, self.values, position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
+        ok = np.isfinite(u_collab) & np.isfinite(u_beef)
+        for a, valid in self._invalid_axes:
+            ok &= valid[position[a]]
+        if not ok.all():
+            _raise_cell_error(self.spec, block[int(np.argmin(ok))])
+        return block
+
+    def blocks(self) -> Iterator[SweepResult]:
+        """Every cell in consecutive blocks of at most _EMIT_ROWS, in lattice order."""
+        return (self.evaluate(lo, min(lo + _EMIT_ROWS, self.cells)) for lo in range(0, self.cells, _EMIT_ROWS))
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending.
-
-    Each utility is creator_utility's sum over the swept arrays,
-    core._engagement(w, φ) - delta*r, so every value has the scalar bits.
 
     Raises the error the first invalid cell raises in that order: a swept
     value that is negative or non-finite, or a non-finite utility.
     """
-    axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
-    names = tuple(axis.name for axis in axes)
-    shape = tuple(axis.steps for axis in axes)
-    params = _fixed_params(spec)
-    with np.errstate(all="ignore"):  # invalid cells are found and reported below
-        values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
-        for a, (name, axis_values) in enumerate(zip(names, values)):
-            params[name] = axis_values.reshape([-1 if b == a else 1 for b in range(len(axes))])
-        u_collab, u_beef = (
-            (_engagement(params["alpha"], params["beta"], params["gamma"], phi) - params["delta"] * phi[3]).ravel()
-            for phi in (features(spec.table.profiles[s], spec.creator.model) for s in Strategy)
-        )
-        gap = u_beef - u_collab
-    result = SweepResult(
-        names,
-        values,
-        np.indices(shape).reshape(len(shape), -1),
-        u_collab,
-        u_beef,
-        gap,
-        gap > spec.rule.tie_tol,
-    )
-    ok = np.isfinite(u_collab) & np.isfinite(u_beef)
-    for axis_values, position in zip(values, result.position):  # _checked's test, -0.0 included
-        ok &= (np.isfinite(axis_values) & (axis_values >= 0.0))[position]
-    if not ok.all():
-        _raise_cell_error(spec, result[int(np.argmin(ok))])
-    return result
+    lattice = _Lattice(spec)
+    return lattice.evaluate(0, lattice.cells)
 
 
 def region_boundary(spec: SweepSpec) -> float | None:
@@ -227,15 +247,63 @@ def region_boundary(spec: SweepSpec) -> float | None:
     return boundary
 
 
-def _row_blocks(cells: int) -> Iterator[slice]:
-    """Consecutive blocks of at most _EMIT_ROWS cells, which bound the
-    memory the emitters' strings take."""
-    return (slice(lo, lo + _EMIT_ROWS) for lo in range(0, cells, _EMIT_ROWS))
-
-
 def _fmt(value: float) -> str:
     """9 significant digits, no trailing zeros (exact for all golden values)."""
     return format(float(value), ".9g")
+
+
+class _Writer(NamedTuple):
+    """One output format: its head, the bytes of each block's rows, its tail."""
+
+    head: bytes
+    rows: Callable[[SweepResult], bytes]
+    tail: bytes
+
+
+def _emit(outputs: Sequence[tuple[_Writer, BinaryIO]], blocks: Iterable[SweepResult]) -> None:
+    """Write each writer's head, then every block's rows, then its tail, to its sink."""
+    for writer, sink in outputs:
+        sink.write(writer.head)
+    for block in blocks:
+        for writer, sink in outputs:
+            sink.write(writer.rows(block))
+    for writer, sink in outputs:
+        if writer.tail:
+            sink.write(writer.tail)
+
+
+def _slices(cells: SweepResult) -> Iterator[SweepResult]:
+    """Consecutive blocks of at most _EMIT_ROWS cells, which bound the
+    memory the emitters' strings take."""
+    for lo in range(0, len(cells), _EMIT_ROWS):
+        rows = slice(lo, lo + _EMIT_ROWS)
+        columns = (cells.u_collab, cells.u_beef, cells.gap, cells.beefing)
+        yield SweepResult(cells.names, cells.values, cells.position[:, rows], *(column[rows] for column in columns))
+
+
+def _csv_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writer:
+    """emit_csv's format for a lattice with these axes."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    params = [(a, np.array([_fmt(v) for v in values[a].tolist()], dtype=object)) for a in order]
+    chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
+    # "%.9g" formats a float exactly as _fmt does.
+    row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
+    header = ",".join([names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])
+
+    def rows(block: SweepResult) -> bytes:
+        lines = map(
+            row.__mod__,
+            zip(
+                *(formatted[block.position[a]].tolist() for a, formatted in params),
+                block.u_collab.tolist(),
+                block.u_beef.tolist(),
+                block.gap.tolist(),
+                chosen[block.beefing.astype(np.intp)].tolist(),
+            ),
+        )
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    return _Writer((header + "\n").encode("utf-8"), rows, b"")
 
 
 def emit_csv(cells: SweepResult, sink: BinaryIO) -> None:
@@ -250,51 +318,16 @@ def emit_csv(cells: SweepResult, sink: BinaryIO) -> None:
         raise TypeError(f"emit_csv takes the SweepResult of run_sweep, got {type(cells).__name__}")
     if not len(cells):
         raise InvalidScenarioError("no cells to emit")
-    order = sorted(range(len(cells.names)), key=cells.names.__getitem__)
-    params = [(np.array([_fmt(v) for v in cells.values[a].tolist()], dtype=object), cells.position[a]) for a in order]
-    chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
-    # "%.9g" formats a float exactly as _fmt does.
-    row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
-    header = ",".join([cells.names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])
-    sink.write((header + "\n").encode("utf-8"))
-    for rows in _row_blocks(len(cells)):
-        lines = map(
-            row.__mod__,
-            zip(
-                *(formatted[position[rows]].tolist() for formatted, position in params),
-                cells.u_collab[rows].tolist(),
-                cells.u_beef[rows].tolist(),
-                cells.gap[rows].tolist(),
-                chosen[cells.beefing[rows].astype(np.intp)].tolist(),
-            ),
-        )
-        sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    _emit([(_csv_writer(cells.names, cells.values), sink)], _slices(cells))
 
 
-def _check_region_lattice(cells: SweepResult) -> None:
-    """Raise the error emit_region_svg raises for input it cannot map."""
-    if not isinstance(cells, SweepResult):
-        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
-    if not len(cells):
-        raise MalformedLatticeError("no cells")
-    if len(cells.names) != 2:
-        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(cells.names)}")
-
-
-def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
-    """Write a standalone SVG region map of a 2-axis run_sweep result.
-
-    One filled rectangle per cell of the steps1 x steps2 lattice, colored
-    by the chosen strategy (collaboration green, beefing red); axes are
-    labeled with the parameter names and their ranges. Rects are formatted
-    and written in blocks of _EMIT_ROWS cells. Output is
-    byte-deterministic for identical input. Any input but a SweepResult
-    raises TypeError; an empty or one-axis result raises
-    MalformedLatticeError.
-    """
-    _check_region_lattice(cells)
-    name1, name2 = cells.names
-    values1, values2 = cells.values
+def _svg_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writer:
+    """emit_region_svg's format for a lattice with these axes; raises
+    MalformedLatticeError unless there are two."""
+    if len(names) != 2:
+        raise MalformedLatticeError(f"cells must come from a 2-axis sweep, got axes {list(names)}")
+    name1, name2 = names
+    values1, values2 = values
 
     width, height = 640, 480
     left, right, top, bottom = 90.0, 620.0, 30.0, 420.0
@@ -314,13 +347,10 @@ def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
         ],
         dtype=object,
     )
-    sink.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'.encode("utf-8")
-    )
-    for rows in _row_blocks(len(cells)):
-        rects = heads[cells.position[0, rows]] + tails[cells.beefing[rows].astype(np.intp), cells.position[1, rows]]
-        sink.write(("\n".join(rects.tolist()) + "\n").encode("utf-8"))
+
+    def rows(block: SweepResult) -> bytes:
+        rects = heads[block.position[0]] + tails[block.beefing.astype(np.intp), block.position[1]]
+        return ("\n".join(rects.tolist()) + "\n").encode("utf-8")
 
     mid_x = (left + right) / 2.0
     mid_y = (top + bottom) / 2.0
@@ -332,4 +362,26 @@ def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
         f"{name2}: {_fmt(values2[0])} to {_fmt(values2[-1])}</text>",
         "</svg>",
     ]
-    sink.write(("\n".join(labels) + "\n").encode("utf-8"))
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+    )
+    return _Writer(head.encode("utf-8"), rows, ("\n".join(labels) + "\n").encode("utf-8"))
+
+
+def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
+    """Write a standalone SVG region map of a 2-axis run_sweep result.
+
+    One filled rectangle per cell of the steps1 x steps2 lattice, colored
+    by the chosen strategy (collaboration green, beefing red); axes are
+    labeled with the parameter names and their ranges. Rects are formatted
+    and written in blocks of _EMIT_ROWS cells. Output is
+    byte-deterministic for identical input. Any input but a SweepResult
+    raises TypeError; an empty or one-axis result raises
+    MalformedLatticeError.
+    """
+    if not isinstance(cells, SweepResult):
+        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
+    if not len(cells):
+        raise MalformedLatticeError("no cells")
+    _emit([(_svg_writer(cells.names, cells.values), sink)], _slices(cells))

@@ -1,5 +1,6 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from creatorgame import DEFAULT_TABLE, EngagementProfile, GameTable, Strategy
+from creatorgame import (
+    DEFAULT_TABLE,
+    EngagementProfile,
+    GameTable,
+    InvalidScenarioError,
+    Strategy,
+    SweepAxis,
+    SweepSpec,
+    emit_csv,
+    emit_region_svg,
+    run_sweep,
+    sweep,
+)
 from creatorgame.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -18,6 +31,7 @@ from creatorgame.cli import (
     main,
     run_example_checks,
 )
+from creatorgame.scenario import preset_scenario
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -415,7 +429,7 @@ def test_sweep_svg_needs_two_axes(tmp_path, capsys):
 
 def test_failed_sweep_keeps_earlier_outputs_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     # the one-axis --svg error comes before any output is emitted
-    monkeypatch.setattr("creatorgame.cli.emit_csv", lambda cells, sink: pytest.fail("CSV emitted"))
+    monkeypatch.setattr("creatorgame.cli._emit", lambda outputs, blocks: pytest.fail("output emitted"))
     out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
     out_csv.write_bytes(b"old csv\n")
     out_svg.write_bytes(b"old svg\n")
@@ -424,6 +438,97 @@ def test_failed_sweep_keeps_earlier_outputs_and_leaves_no_temp_file(tmp_path, ca
     assert capsys.readouterr().err == "error: cells must come from a 2-axis sweep, got axes ['delta']\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
     assert out_csv.read_bytes() == b"old csv\n" and out_svg.read_bytes() == b"old svg\n"
+
+
+def _sweep_spec(preset, axis1, axis2=None):
+    scenario = preset_scenario(preset)
+    return SweepSpec(
+        axis1=SweepAxis(*axis1),
+        axis2=SweepAxis(*axis2) if axis2 is not None else None,
+        weights=scenario.weights,
+        creator=scenario.creator,
+        table=scenario.table,
+        rule=scenario.rule,
+    )
+
+
+def _emitted(emit, cells):
+    sink = io.BytesIO()
+    emit(cells, sink)
+    return sink.getvalue()
+
+
+STREAMED_SWEEPS = {
+    "one-axis": ("example3", ("delta", 0.0, 4.0, 23), None),
+    "9x11": ("example1", ("alpha", 0.0, 4.0, 9), ("delta", 0.0, 5.0, 11)),
+    "degenerate-3x2": ("example3", ("alpha", 0.5, 0.5, 3), ("delta", 0.0, 4.0, 2)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+@pytest.mark.parametrize("case", sorted(STREAMED_SWEEPS))
+def test_streamed_sweep_writes_the_bytes_of_the_materialised_emitters(tmp_path, capsys, monkeypatch, case, rows):
+    preset, axis1, axis2 = STREAMED_SWEEPS[case]
+    cells = run_sweep(_sweep_spec(preset, axis1, axis2))
+    expected = {"out.csv": _emitted(emit_csv, cells)}
+    argv = ["sweep", preset, "--axis1", ":".join(map(str, axis1)), "--out", str(tmp_path / "out.csv")]
+    if axis2 is not None:
+        expected["out.svg"] = _emitted(emit_region_svg, cells)
+        argv += ["--axis2", ":".join(map(str, axis2)), "--svg", str(tmp_path / "out.svg")]
+    monkeypatch.setattr("creatorgame.sweep._EMIT_ROWS", rows)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == f"rows={len(cells)}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+def test_invalid_cell_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch, rows):
+    axis1, axis2 = ("gamma", 0.0, 1e308, 25), ("delta", 0.0, 1.0, 10)
+    lattice = sweep._Lattice(_sweep_spec("example1", axis1, axis2))
+    lattice.evaluate(0, 110)  # cell 110 (gamma 4.58e307) is the first whose Beefing utility overflows
+    with pytest.raises(InvalidScenarioError):
+        lattice.evaluate(110, 111)
+    monkeypatch.setattr("creatorgame.sweep._EMIT_ROWS", rows)
+    out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    out_csv.write_bytes(b"old csv\n")
+    out_svg.write_bytes(b"old svg\n")
+    argv = ["sweep", "example1", "--axis1", "gamma:0:1e308:25", "--axis2", "delta:0:1:10"]
+    assert main([*argv, "--out", str(out_csv), "--svg", str(out_svg)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: creator utility is non-finite (inf); inputs too extreme\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
+    assert out_csv.read_bytes() == b"old csv\n" and out_svg.read_bytes() == b"old svg\n"
+
+
+# VmHWM, not ru_maxrss: Linux keeps the forking process's peak in ru_maxrss
+# across exec, so ru_maxrss would read this test process's own peak.
+MEASURE_SWEEP_RSS = """
+import sys
+from creatorgame.cli import main
+
+def peak_rss_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+imported = peak_rss_kib()
+code = main(sys.argv[1:])
+print(code, imported, peak_rss_kib(), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc (Linux)")
+def test_sweep_memory_is_bounded_by_a_block_not_the_lattice(tmp_path):
+    # 490,000 cells: the materialised lattice alone would take about 20 MiB
+    argv = ["sweep", "example1", "--axis1", "alpha:0:4:700", "--axis2", "delta:0:5:700"]
+    argv += ["--out", str(tmp_path / "big.csv"), "--svg", str(tmp_path / "big.svg")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE_SWEEP_RSS, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    code, imported, peak = map(int, proc.stderr.split())
+    assert (code, proc.stdout) == (EXIT_OK, "rows=490000\n")
+    assert peak - imported <= 12 * 1024
 
 
 def test_sweep_degenerate_axis_maps_every_step(tmp_path, capsys):

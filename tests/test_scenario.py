@@ -419,6 +419,27 @@ def test_load_scenario_reports_undecodable_bytes_as_invalid_json(tmp_path):
     assert str(info.value).startswith("scenario: invalid JSON: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32"])
+def test_load_scenario_reads_every_json_encoding(tmp_path, encoding):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(MINIMAL).encode(encoding))
+    assert repr(load_scenario(path)) == repr(parse_scenario(MINIMAL))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"{not json", b'{"a": 1} x', b"", b"\xef\xbb\xbf{", '{"a": }'.encode("utf-16"), b'{"a\xff": 1}'],
+)
+def test_load_scenario_errors_are_json_loads_errors(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as expected:
+        json.loads(raw)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"scenario: invalid JSON: {expected.value}"
+
+
 def test_population_grid_is_built_through_the_module_binding(monkeypatch):
     # span tracing replaces module bindings; a reference captured at import would escape it
     import creatorgame.scenario as scenario_module
