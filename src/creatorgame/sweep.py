@@ -184,7 +184,7 @@ def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
 
 class _Lattice:
     """The cells of a sweep, axis1 outer and axis2 inner, both ascending,
-    evaluated in blocks: cell k sits at position divmod(k, steps2)."""
+    evaluated in blocks: cell k sits at position (k // steps2, k % steps2)."""
 
     def __init__(self, spec: SweepSpec) -> None:
         axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
@@ -203,7 +203,12 @@ class _Lattice:
         swept arrays, core._engagement(w, φ) - delta*r, so every value has
         the scalar bits. Raises the error of the first invalid cell."""
         k = np.arange(lo, hi)
-        position = np.stack(np.divmod(k, len(self.values[1]))) if len(self.values) == 2 else k[np.newaxis]
+        if len(self.values) == 2:
+            steps2 = len(self.values[1])
+            i = k // steps2  # on int64, // by a scalar is several times faster than np.divmod
+            position = np.stack([i, k - i * steps2])
+        else:
+            position = k[np.newaxis]
         params = _fixed_params(self.spec)
         for name, values, i in zip(self.names, self.values, position):
             params[name] = values[i]
@@ -252,6 +257,99 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """The masks and fixed bytes of _format_9g's two words, indexed by
+    c = (e + 4) * 10 + last for a decimal exponent e in [-4, 9] and the
+    index last of the last digit written, max(e, last nonzero); e and last
+    of 9 occur only for values that take the slow path."""
+    e = np.arange(-4, 10)[:, np.newaxis, np.newaxis]
+    last = np.arange(10)[np.newaxis, :, np.newaxis]
+    byte = np.arange(8)
+    dot = last > e  # a digit follows the point
+    # low word: "0." and -e - 1 zeros ending at byte 5 when e < 0, the point at byte 7 when e = 0
+    prefix = (e < 0) & (byte >= 5 + e) & (byte <= 5)
+    low = np.where(prefix, np.where(byte == 6 + e, ord("."), ord("0")), 0) + ((e == 0) & dot & (byte == 7)) * ord(".")
+    # digit k >= 1 sits at byte k - 1 of the high word; the head d1..de moves down a byte to make room for the point
+    head = (byte < e) * 255
+    tail = ((byte >= np.maximum(e, 0)) & (byte < last)) * 255
+    point = ((e >= 1) & dot & (byte == e - 1)) * ord(".")
+    shifts = np.uint64(8) * np.arange(8, dtype=np.uint64)  # byte i of a little-endian word
+    tables = (np.broadcast_to(t, (14, 10, 8)).astype(np.uint64) << shifts for t in (low, head, tail, point))
+    return tuple(t.sum(axis=-1, dtype=np.uint64).ravel() for t in tables)
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For q in [0, 9999]: its 4 decimal digits as ASCII at bytes 0-3 of a
+    uint64, and the count of their trailing zeros."""
+    q = np.arange(10_000)
+    ascii_digits = np.zeros(len(q), dtype=np.uint64)
+    zeros = np.zeros(len(q), dtype=np.intp)
+    trailing = np.ones(len(q), dtype=bool)
+    for k in range(4):  # the last digit first
+        digit = q // 10**k % 10
+        ascii_digits |= (digit + ord("0")).astype(np.uint64) << np.uint64(8 * (3 - k))
+        trailing &= digit == 0
+        zeros += trailing
+    return ascii_digits, zeros
+
+
+_QUAD, _QUAD_ZEROS = _quad_tables()
+_LEAD = (np.uint64(ord("0")) + np.arange(10, dtype=np.uint64)) << np.uint64(48)  # digit d at byte 6
+_SIGN = np.array([0, ord("-")], dtype=np.uint64)  # at byte 0
+_SCALE = np.array([float(10 ** (8 - e)) for e in range(-4, 9)])  # exact: 10**k < 2**53
+_LOW, _HEAD, _TAIL, _POINT = _layout_tables()
+
+
+def _format_9g(values: np.ndarray) -> np.ndarray:
+    """An (n, 16) uint8 array whose row i, with its NUL bytes deleted, is
+    _fmt(values[i]), the "%.9g" of the value.
+
+    The fast path takes e = floor(log10|v|), clamped to [-4, 8] where %.9g
+    writes fixed notation, and the 9-digit integer m = round(p), with
+    p = fl(|v| * 10**(8 - e)). It is exact. 10**(8 - e) is exact, so p is
+    the product rounded once, within half an ulp of it. With p < 2**30 the
+    ulp is at most 2**-23, so frac(p) and 0.5 are both multiples of it:
+    unless frac(p) == 0.5, the product lies on the same side of the half
+    as p, and rounding p to nearest gives %.9g's round-half-even of the
+    product. An m of 10**9 carries into 10**8 with e + 1. A p whose floor
+    falls outside [1e8, 1e9) (±0, inf, nan, exponents outside [-4, 8], a
+    log10 that is one off), a frac(p) of exactly 0.5 (an exact or a near
+    tie), and a carry into e = 9 go to _fmt one at a time.
+
+    Two little-endian uint64 words hold the string: the sign at byte 0,
+    "0." and its zeros at bytes 1-5, d0 at byte 6 and d1..d8 at bytes
+    8-15. For the point after de, d1..de move down one byte; the trailing
+    zeros of the fraction are cleared. The caller deletes the NULs left.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # ±0, inf and nan go to the slow path
+        a = np.abs(v)
+        e = np.fmax(np.fmin(np.floor(np.log10(a)), 8.0), -4.0)  # nan becomes 8: never cast a non-finite value
+        p = a * _SCALE[(e + 4.0).astype(np.intp)]
+        whole = np.floor(p)
+        frac = p - whole
+        m = whole + (frac > 0.5)
+        carry = m == 1e9
+        fast = (whole >= 1e8) & (whole < 1e9) & (frac != 0.5) & ~(carry & (e == 8.0))
+    e = e.astype(np.intp) + carry
+    m = np.where(fast & ~carry, m, 1e8).astype(np.intp)
+    lead = m // 100_000_000
+    rest = m - lead * 100_000_000
+    q1 = rest // 10_000
+    q2 = rest - q1 * 10_000
+    last = np.maximum(e, 8 - _QUAD_ZEROS[q2] - (q2 == 0) * _QUAD_ZEROS[q1])
+    c = (e + 4) * 10 + last
+    digits = _QUAD[q1] | (_QUAD[q2] << np.uint64(32))
+    head = digits & _HEAD[c]
+    words = np.empty((len(v), 2), dtype="<u8")
+    words[:, 0] = _LOW[c] | _SIGN[np.signbit(v).view(np.uint8)] | _LEAD[lead] | (head << np.uint64(56))
+    words[:, 1] = (head >> np.uint64(8)) | (digits & _TAIL[c]) | _POINT[c]
+    out = words.view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = np.frombuffer(_fmt(v[i]).encode().ljust(16, b"\0"), dtype=np.uint8)
+    return out
+
+
 class _Writer(NamedTuple):
     """One output format: its head, the bytes of each block's rows, its tail."""
 
@@ -282,26 +380,24 @@ def _slices(cells: SweepResult) -> Iterator[SweepResult]:
 
 
 def _csv_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writer:
-    """emit_csv's format for a lattice with these axes."""
+    """emit_csv's format for a lattice with these axes. A block's rows are
+    one array of NUL-padded fixed-width fields, the NULs deleted at the end."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    params = [(a, np.array([_fmt(v) for v in values[a].tolist()], dtype=object)) for a in order]
-    chosen = np.array([Strategy.COLLABORATION.value, Strategy.BEEFING.value], dtype=object)
-    # "%.9g" formats a float exactly as _fmt does.
-    row = ",".join(["%s"] * len(order) + ["%.9g"] * 3 + ["%s"])
+    params = [(f"axis{a}", np.array([f"{_fmt(v)},".encode() for v in values[a].tolist()])) for a in order]
+    chosen = np.array([f"{strategy.value}\n".encode() for strategy in (Strategy.COLLABORATION, Strategy.BEEFING)])
+    real = np.dtype([("value", "S16"), ("comma", "S1")])
+    row = np.dtype([*((field, column.dtype) for field, column in params), ("reals", real, 3), ("chosen", chosen.dtype)])
     header = ",".join([names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])
 
     def rows(block: SweepResult) -> bytes:
-        lines = map(
-            row.__mod__,
-            zip(
-                *(formatted[block.position[a]].tolist() for a, formatted in params),
-                block.u_collab.tolist(),
-                block.u_beef.tolist(),
-                block.gap.tolist(),
-                chosen[block.beefing.astype(np.intp)].tolist(),
-            ),
-        )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        lines = np.zeros(len(block), dtype=row)
+        for (field, column), i in zip(params, block.position[order]):
+            lines[field] = column[i]
+        reals = _format_9g(np.stack([block.u_collab, block.u_beef, block.gap], axis=1).ravel())
+        lines["reals"]["value"] = reals.view("S16").reshape(len(block), 3)
+        lines["reals"]["comma"] = b","
+        lines["chosen"] = chosen[block.beefing.view(np.uint8)]
+        return lines.tobytes().translate(None, b"\0")
 
     return _Writer((header + "\n").encode("utf-8"), rows, b"")
 

@@ -2,9 +2,13 @@
 
 import dataclasses
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creatorgame import (
     AlgorithmWeights,
@@ -32,6 +36,7 @@ from creatorgame import (
     utility_gap,
 )
 from creatorgame import sweep
+from creatorgame.cli import EXIT_OK, main
 from creatorgame.sweep import BEEFING_COLOR, COLLABORATION_COLOR, SWEEPABLE_PARAMS
 
 W_BASE = AlgorithmWeights(1.0, 2.0, 1.5)
@@ -503,3 +508,70 @@ def test_axis_and_spec_validation():
     too_many = r"^10000 x 1001 = 10010000 sweep cells exceeds the limit of 10000000; lower the steps$"
     with pytest.raises(InvalidScenarioError, match=too_many):
         _spec(SweepAxis("alpha", 0.0, 1.0, 10**4), axis2=SweepAxis("delta", 0.0, 1.0, 1001))
+
+
+def _formatted(values):
+    """_format_9g's rows with their NUL bytes deleted, as bytes."""
+    rows = sweep._format_9g(np.array(values, dtype=np.float64))
+    assert rows.dtype == np.uint8 and rows.shape == (len(values), 16)
+    return [row.tobytes().replace(b"\0", b"") for row in rows]
+
+
+def _powers_of_ten_and_neighbours():
+    for k in range(-7, 12):
+        power = float(f"1e{k}")
+        yield from (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf))
+
+
+FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,  # outside fixed notation
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.9999999995e-5, -9.9999999995e-5,
+    # halves at the ninth digit
+    12345678.25, 12345678.75, -12345678.25, 0.5, 2.5, 1.0000000005, 99999999.95, 999999999.5, 1e9,
+    # nines that round up and carry; the last does not
+    9.9999999997, -0.00099999999996, 99999999.97, 999999999.7, 999999999.4,
+    1200.0, 0.1, -0.001, 123456789.0, 0.000123456789, *_powers_of_ten_and_neighbours(),
+]
+
+
+def test_format_9g_edges_match_format():
+    assert _formatted(FORMAT_EDGES) == [format(v, ".9g").encode() for v in FORMAT_EDGES]
+    assert _formatted([]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-2e9, max_value=2e9),
+            st.floats(min_value=-2e-4, max_value=2e-4),
+            # binary fractions with few digits: exact halves at the 9th digit
+            st.builds(lambda n, k: n / 2**k, st.integers(-(2**40), 2**40), st.integers(0, 12)),
+        ),
+        max_size=60,
+    )
+)
+def test_format_9g_matches_format(values):
+    assert _formatted(values) == [format(v, ".9g").encode() for v in values]
+
+
+def test_csv_rows_with_slow_path_values_match_the_reference(tmp_path, capsys):
+    # alpha up to 2e9 gives utilities of 1e9 and more (exponent notation); at alpha 0
+    # gamma 1e-5 gives utilities and gaps below 1e-4, and Beefing's utility crosses zero
+    doc = {"weights": {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5}, "creator": {"delta": 1.0}}
+    weights = AlgorithmWeights(**doc["weights"])
+    spec = _spec(SweepAxis("alpha", 0.0, 2e9, 5), SweepAxis("delta", 0.0, 2.0, 9), weights=weights)
+    result, reference = run_sweep(spec), _reference_cells(spec)
+    expected = _reference_csv(reference)
+    text = expected.decode()
+    assert "e+09" in text and "e-05" in text and ",0," in text and ",-0.7" in text
+    assert _emitted(emit_csv, result) == expected
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out_csv = tmp_path / "out.csv"
+    argv = ["sweep", str(path), "--axis1", "alpha:0:2e9:5", "--axis2", "delta:0:2:9", "--out", str(out_csv)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "rows=45\n"
+    assert out_csv.read_bytes() == expected
