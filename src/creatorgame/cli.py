@@ -139,9 +139,7 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         table=scenario.table,
         rule=scenario.rule,
     )
-    lattice = _Lattice(spec)
-    for _ in lattice.blocks():  # raises the first invalid cell's error before any file is opened
-        pass
+    lattice = _Lattice(spec)  # raises the first invalid cell's error before any file is opened
     formats = [(path, writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer)) if path is not None]
     outputs = [(path, writer(lattice.names, lattice.values)) for path, writer in formats]  # one-axis --svg raises
     _write_all(lattice, outputs)

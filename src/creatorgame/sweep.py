@@ -190,18 +190,26 @@ class _Lattice:
         axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
         self.spec = spec
         self.names = tuple(axis.name for axis in axes)
-        with np.errstate(all="ignore"):  # invalid cells are found and reported by evaluate
+        with np.errstate(all="ignore"):  # a subnormal step underflows; SweepAxis keeps the values finite
             self.values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
         self.cells = math.prod(axis.steps for axis in axes)
-        # _checked's test of each swept value, -0.0 included, kept for the axes that fail it somewhere
-        valid = (np.isfinite(v) & (v >= 0.0) for v in self.values)
-        self._invalid_axes = [(a, ok) for a, ok in enumerate(valid) if not ok.all()]
         self._phi = [features(spec.table.profiles[s], spec.creator.model) for s in Strategy]
+        # The first invalid cell raises. Values are >= lo, so a negative one shows in cell 0. Else weights,
+        # features and deltas are >= 0, rounding is monotone and values pass hi only below 1e-300 (a subnormal
+        # step), so a utility is non-finite only if one of the last cell's is (leader._values_stay_finite).
+        if not all(values[0] >= 0.0 for values in self.values):  # _checked's test, which -0.0 passes
+            _raise_cell_error(spec, self.evaluate(0, 1)[0])
+        last = self.evaluate(self.cells - 1, self.cells)
+        if not np.isfinite([last.u_collab, last.u_beef]).all():
+            for block in self.blocks():
+                ok = np.isfinite([block.u_collab, block.u_beef]).all(axis=0)
+                if not ok.all():
+                    _raise_cell_error(spec, block[int(np.argmin(ok))])
 
     def evaluate(self, lo: int, hi: int) -> SweepResult:
         """Cells lo..hi-1. Each utility is creator_utility's sum over the
         swept arrays, core._engagement(w, φ) - delta*r, so every value has
-        the scalar bits. Raises the error of the first invalid cell."""
+        the scalar bits."""
         k = np.arange(lo, hi)
         if len(self.values) == 2:
             steps2 = len(self.values[1])
@@ -218,13 +226,7 @@ class _Lattice:
                 for phi in self._phi
             )
             gap = u_beef - u_collab
-        block = SweepResult(self.names, self.values, position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
-        ok = np.isfinite(u_collab) & np.isfinite(u_beef)
-        for a, valid in self._invalid_axes:
-            ok &= valid[position[a]]
-        if not ok.all():
-            _raise_cell_error(self.spec, block[int(np.argmin(ok))])
-        return block
+        return SweepResult(self.names, self.values, position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
 
     def blocks(self) -> Iterator[SweepResult]:
         """Every cell in consecutive blocks of at most _EMIT_ROWS, in lattice order."""

@@ -1,6 +1,7 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from creatorgame import (
+    AlgorithmWeights,
+    CreatorParams,
     DEFAULT_TABLE,
     EngagementProfile,
     GameTable,
@@ -18,6 +21,7 @@ from creatorgame import (
     Strategy,
     SweepAxis,
     SweepSpec,
+    creator_utility,
     emit_csv,
     emit_region_svg,
     run_sweep,
@@ -483,11 +487,19 @@ def test_streamed_sweep_writes_the_bytes_of_the_materialised_emitters(tmp_path, 
 
 @pytest.mark.parametrize("rows", [1, 7, 50])
 def test_invalid_cell_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch, rows):
-    axis1, axis2 = ("gamma", 0.0, 1e308, 25), ("delta", 0.0, 1.0, 10)
-    lattice = sweep._Lattice(_sweep_spec("example1", axis1, axis2))
-    lattice.evaluate(0, 110)  # cell 110 (gamma 4.58e307) is the first whose Beefing utility overflows
-    with pytest.raises(InvalidScenarioError):
-        lattice.evaluate(110, 111)
+    def fails(gamma, delta):
+        weights, creator = AlgorithmWeights(1.0, 2.0, gamma), CreatorParams(delta)  # example1's alpha and beta
+        try:
+            for profile in DEFAULT_TABLE.profiles.values():
+                creator_utility(weights, creator, profile)
+        except InvalidScenarioError:
+            return True
+        return False
+
+    axis1, axis2 = SweepAxis("gamma", 0.0, 1e308, 25), SweepAxis("delta", 0.0, 1.0, 10)
+    cells = itertools.product(axis1.values(), axis2.values())  # in lattice order
+    # on the scalar path, cell 110 (gamma 4.58e307) is the first whose Beefing utility overflows
+    assert [fails(*cell) for cell in cells].index(True) == 110
     monkeypatch.setattr("creatorgame.sweep._EMIT_ROWS", rows)
     out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
     out_csv.write_bytes(b"old csv\n")
@@ -499,6 +511,23 @@ def test_invalid_cell_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypa
     assert captured.err == "error: creator utility is non-finite (inf); inputs too extreme\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
     assert out_csv.read_bytes() == b"old csv\n" and out_svg.read_bytes() == b"old svg\n"
+
+
+def test_a_sweep_evaluates_each_block_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    evaluate = sweep._Lattice.evaluate
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return evaluate(self, lo, hi)
+
+    monkeypatch.setattr(sweep._Lattice, "evaluate", counted)
+    monkeypatch.setattr(sweep, "_EMIT_ROWS", 7)
+    argv = ["sweep", "example1", "--axis1", "alpha:0:4:9", "--axis2", "delta:0:5:11"]
+    assert main([*argv, "--out", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "a.svg")]) == EXIT_OK
+    assert capsys.readouterr().out == "rows=99\n"
+    # the one-cell probe of the last cell, then the 15 blocks as they are written
+    assert calls == [(98, 99), *((lo, min(lo + 7, 99)) for lo in range(0, 99, 7))]
 
 
 # VmHWM, not ru_maxrss: Linux keeps the forking process's peak in ru_maxrss

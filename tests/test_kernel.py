@@ -575,11 +575,21 @@ def test_chunked_errors_in_a_later_chunk_are_the_reference_errors(chunk_size, ru
 
 
 def test_chunked_satisficing_suspects_that_never_fail(chunk_size):
-    # Collaboration meets the aspiration, so member 1's overflowing Beefing
-    # utility, from alpha >= 2 on, flags it without failing it; the leader
-    # value there (a zero share of infinite engagement) fails instead.
+    # Member 1's Beefing utility overflows from alpha >= 2 on, but Collaboration
+    # meets the aspiration, so respond accepts the member and the kernel flags
+    # no member there; the leader value (a zero share of infinite engagement)
+    # fails instead.
     pop = Population((CreatorParams(1.0, NONLINEAR), CreatorParams(2.0, LINEAR)))
     domain = BoxDomain(3.0, 1.0, 1.0, resolution=3)
+    points = [w for w in enumerate_domain(domain) if w.alpha >= 2.0]
+    for weights in points:
+        with pytest.raises(InvalidScenarioError):
+            creator_utility(weights, pop.members[1], OVERFLOW_TABLE.profiles[Strategy.BEEFING])
+        assert respond(Satisficing(0.0), weights, pop.members[1], OVERFLOW_TABLE).prob[Strategy.COLLABORATION] == 1.0
+    alpha, beta, gamma = (np.array(axis) for axis in zip(*((w.alpha, w.beta, w.gamma) for w in points)))
+    with np.errstate(all="ignore"):
+        columns = population._columns(pop, OVERFLOW_TABLE)
+        assert population._chunk_shares(columns, Satisficing(0.0), alpha, beta, gamma)[2] is None
     expected = _reference_error(lambda: _reference_solve(domain, pop, Satisficing(0.0), OVERFLOW_TABLE))
     assert expected == "leader value is non-finite (nan)"
     with pytest.raises(InvalidScenarioError) as info:

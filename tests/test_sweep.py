@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from creatorgame import (
@@ -291,6 +291,59 @@ def test_invalid_cells_raise_the_first_scalar_error():
         sweep(SweepAxis("delta", -1.0, 1.0, 3), SweepAxis("alpha", -2.0, 0.0, 2))
     with pytest.raises(InvalidScenarioError, match=r"non-finite \(inf\)"):
         sweep(SweepAxis("gamma", 0.0, 1e308, 3), SweepAxis("beta", 0.0, 1e308, 3))
+
+
+_LOS = st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.5, 0.5, 1e307])
+_WIDTHS = st.sampled_from([0.0, 7e-323, 1.0, 3.0, 3.0, 1e300, 1e308, 1.7e308])
+_SMALL = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _lattice_specs(draw):
+    """Small lattices, some of which fail: at a negative lo, or where a utility
+    overflows, from large swept values or a large metric (a nonlinear
+    drama_risk**2 of 1e200 overflows, to nan at delta 0 and to -inf above)."""
+    names = draw(st.permutations(SWEEPABLE_PARAMS))[: draw(st.integers(1, 2))]
+    axes = []
+    for name in names:
+        lo = draw(_LOS)
+        hi = lo + draw(_WIDTHS)
+        assume(math.isfinite(hi))
+        axes.append(SweepAxis(name, lo, hi, draw(st.integers(1, 6))))
+    metrics = [[draw(_SMALL) for _ in range(4)] for _ in Strategy]
+    metrics[draw(st.integers(0, 1))][draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, 2.0, 1e154, 1e200, 1e308]))
+    return SweepSpec(
+        axis1=axes[0],
+        axis2=axes[1] if len(axes) == 2 else None,
+        weights=AlgorithmWeights(*(draw(_SMALL) for _ in range(3))),
+        creator=CreatorParams(draw(_SMALL), draw(st.sampled_from(UtilityModel))),
+        table=GameTable({s: EngagementProfile(*m) for s, m in zip(Strategy, metrics)}),
+    )
+
+
+def _cli_lattice(spec):
+    """The cells as the CLI evaluates them: the lattice, then its blocks."""
+    return list(sweep._Lattice(spec).blocks())
+
+
+# a later cell overflows while cell 0 is finite, in the second block when rows is 2
+@example(_spec(SweepAxis("gamma", 0.0, 1e308, 5), weights=W_BASE), 2)
+@settings(max_examples=250, deadline=None)
+@given(_lattice_specs(), st.sampled_from([1, 2, 7, 2048]))
+def test_property_sweeps_fail_exactly_where_the_scalar_walk_first_fails(spec, rows):
+    try:
+        reference, expected = _reference_cells(spec), None
+    except InvalidScenarioError as exc:
+        reference, expected = None, str(exc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_EMIT_ROWS", rows)
+        for evaluate in (lambda spec: [run_sweep(spec)], _cli_lattice):
+            if expected is not None:
+                with pytest.raises(InvalidScenarioError) as info:
+                    evaluate(spec)
+                assert str(info.value) == expected
+                continue
+            assert [cell for block in evaluate(spec) for cell in block] == reference  # values, utilities, gap, choice
 
 
 def test_overflowing_axis_values_raise_the_scalar_error():
