@@ -29,7 +29,6 @@ from .core import (
     AlgorithmWeights,
     CreatorParams,
     DEFAULT_TABLE,
-    GameTable,
     InvalidScenarioError,
     Strategy,
     creator_utility,
@@ -96,17 +95,23 @@ def _parse_axis(flag: str) -> SweepAxis:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}")
     name, lo, hi, steps = parts
     try:
-        return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=int(steps))
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
-        if isinstance(exc, InvalidScenarioError):
-            raise
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}") from exc
+    return SweepAxis(name=name, lo=lo, hi=hi, steps=steps)
 
 
 def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
     """Evaluate the lattice block by block and write each block straight into
     a temporary file beside each output's target, then move them into place
-    only once every output is written."""
+    only once every output is written. An OSError names the output, not its temporary file."""
+
+    def naming(path: str, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
+
     temps = []
     try:
         with contextlib.ExitStack() as stack:
@@ -115,11 +120,11 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
                 if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
                     raise IsADirectoryError(errno.EISDIR, "is a directory", path)
                 temp = f"{path}.{os.urandom(6).hex()}.tmp"
-                streams.append((writer, stack.enter_context(open(temp, "xb"))))
+                streams.append((writer, stack.enter_context(naming(path, open, temp, "xb"))))
                 temps.append(temp)
             _emit(streams, lattice.blocks())
         for temp, (path, _) in zip(temps, outputs):
-            os.replace(temp, path)
+            naming(path, os.replace, temp, path)
     finally:
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):  # already moved into place
@@ -147,14 +152,12 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
     return EXIT_OK
 
 
-def run_example_checks(table: GameTable | None = None) -> tuple[list[str], bool]:
-    """Recompute the three built-in worked examples via the public API.
+def run_example_checks() -> tuple[list[str], bool]:
+    """Recompute the three built-in worked examples on DEFAULT_TABLE via the public API.
 
     Returns one report row per check and whether all six checks passed,
-    each at tolerance 1e-12. `table` overrides the built-in metrics (used
-    by tests as a negative control).
+    each at tolerance 1e-12.
     """
-    table = table if table is not None else DEFAULT_TABLE
     tol = 1e-12
     rows: list[str] = []
     all_ok = True
@@ -165,8 +168,8 @@ def run_example_checks(table: GameTable | None = None) -> tuple[list[str], bool]
         ("ex3", AlgorithmWeights(2.5, 0.5, 2.0), CreatorParams(1.0), (13.5, 18.5), Strategy.BEEFING),
     ]
     for name, weights, creator, (expect_collab, expect_beef), expect_choice in cases:
-        u_collab = creator_utility(weights, creator, table.profiles[Strategy.COLLABORATION])
-        u_beef = creator_utility(weights, creator, table.profiles[Strategy.BEEFING])
+        u_collab = creator_utility(weights, creator, DEFAULT_TABLE.profiles[Strategy.COLLABORATION])
+        u_beef = creator_utility(weights, creator, DEFAULT_TABLE.profiles[Strategy.BEEFING])
         if expect_collab is None:
             ok = abs(u_beef - expect_beef) <= tol
             rows.append(
@@ -181,7 +184,7 @@ def run_example_checks(table: GameTable | None = None) -> tuple[list[str], bool]
             )
         all_ok &= ok
 
-        chosen = best_response(weights, creator, table)
+        chosen = best_response(weights, creator, DEFAULT_TABLE)
         ok = chosen is expect_choice
         rows.append(
             f"check={name}_choice expected={expect_choice.value} "
@@ -192,8 +195,8 @@ def run_example_checks(table: GameTable | None = None) -> tuple[list[str], bool]
     return rows, all_ok
 
 
-def _cmd_reproduce_examples(table: GameTable | None = None) -> int:
-    rows, all_ok = run_example_checks(table)
+def _cmd_reproduce_examples() -> int:
+    rows, all_ok = run_example_checks()
     for row in rows:
         print(row)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
@@ -242,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(scenario, args.axis1, args.axis2, args.out, args.svg)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ScenarioError, InvalidScenarioError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError and InvalidScenarioError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

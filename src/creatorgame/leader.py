@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     AlgorithmWeights,
     CreatorParams,
-    EngagementProfile,
     GameTable,
     InvalidScenarioError,
     Strategy,
@@ -142,8 +141,9 @@ def check_grid_budget(domain: WeightDomain, members: int) -> None:
         )
 
 
-def _axes(domain: WeightDomain) -> tuple[list[float], list[float], list[float]]:
-    """The values i * bound / n, i = 0..n, along alpha, beta and gamma.
+def _axes(domain: WeightDomain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values i * bound / n, i = 0..n, along alpha, beta and gamma, as
+    float64 arrays: the same IEEE operations, so the same bits.
 
     Raises the error of the grid's first invalid point, in (i, j, k) order.
     Every axis starts at 0 and grows with i, so that point is 0 on every
@@ -158,7 +158,7 @@ def _axes(domain: WeightDomain) -> tuple[list[float], list[float], list[float]]:
         bounds = (domain.alpha_max, domain.beta_max, domain.gamma_max)
     for name, bound in zip(("gamma", "beta", "alpha"), reversed(bounds)):
         _checked(name, n * bound / n)
-    return tuple([i * bound / n for i in range(n + 1)] for bound in bounds)
+    return tuple(np.arange(n + 1) * bound / n for bound in bounds)
 
 
 def _grid_indices(domain: WeightDomain, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,8 +182,7 @@ def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
     """All grid points of the domain in lexicographic (i, j, k) index order,
     with (i, j, k) indexing (alpha, beta, gamma)."""
     check_grid_budget(domain, 1)
-    axes = [np.array(axis) for axis in _axes(domain)]
-    indices = _grid_indices(domain, 0, grid_size(domain))
+    axes, indices = _axes(domain), _grid_indices(domain, 0, grid_size(domain))
     return [AlgorithmWeights(*point) for point in zip(*(axis[idx].tolist() for axis, idx in zip(axes, indices)))]
 
 
@@ -201,14 +200,6 @@ def _values_stay_finite(columns: _Columns, top: tuple[float, float, float], lead
     """
     utility = _engagement(*top, columns.feat).max() + columns.risk_cost.max()
     return math.isfinite(4.0 * utility) and math.isfinite(4.0 * leader_top)
-
-
-def _member_utility(weights: AlgorithmWeights, idx: int, member: CreatorParams, profile: EngagementProfile) -> float:
-    """creator_utility of member idx, whose error is tagged with the index."""
-    try:
-        return creator_utility(weights, member, profile)
-    except InvalidScenarioError as exc:
-        raise InvalidScenarioError(f"member {idx}: {exc}") from exc
 
 
 def stackelberg_solve(
@@ -246,8 +237,7 @@ def stackelberg_solve(
     """
     tie_tol = _checked("tie_tol", tie_tol)
     check_grid_budget(domain, len(pop))
-    axis_values = _axes(domain)
-    axes = [np.array(axis) for axis in axis_values]
+    axes = _axes(domain)
     # engagement value is the linear model's (clicks, watch_time, shares)
     phi_collab, phi_beef = (features(table.profiles[s], UtilityModel.LINEAR) for s in Strategy)
 
@@ -267,7 +257,7 @@ def stackelberg_solve(
     # beat it by more than tie_tol >= 0, nor the later incumbents, which
     # are larger.
     widen = 1.0 + (len(pop) + 8) * 2.0**-52
-    top = tuple(axis[-1] for axis in axis_values)
+    top = tuple(float(axis[-1]) for axis in axes)
     leader_top = max(_engagement(*top, phi_collab), _engagement(*top, phi_beef))
     best, best_value, best_shares = None, -math.inf, None
     block = max(1, _BLOCK_POINTS // step) * step  # whole chunks
@@ -299,7 +289,7 @@ def stackelberg_solve(
                 if failed.any():  # the first failed point raises: a member's error, else its leader value's
                     p = int(np.argmax(failed))
                     if members_failed is not None and members_failed[p].any():
-                        _raise_member_error(columns, rule, tuple(float(x[p]) for x in chunk), members_failed[p])
+                        _raise_member_error(pop, table, rule, tuple(float(x[p]) for x in chunk), members_failed[p])
                     raise InvalidScenarioError(f"leader value is non-finite ({float(values[p])!r})")
                 # With tie_tol >= 0 a point that wins beats every earlier value,
                 # so only the strict records of the running maximum can win.
@@ -320,7 +310,10 @@ def stackelberg_solve(
         profile = table.profiles[s]
         total = 0.0  # left to right: sum() compensates its rounding from Python 3.12 on
         for idx, m in enumerate(pop.members):
-            total += _member_utility(best_weights, idx, m, profile)
+            try:
+                total += creator_utility(best_weights, m, profile)
+            except InvalidScenarioError as exc:
+                raise InvalidScenarioError(f"member {idx}: {exc}") from exc
         utilities[s] = total / len(pop.members)
     for s, value in utilities.items():  # the sum of finite member utilities can overflow
         if not math.isfinite(value):

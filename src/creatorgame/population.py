@@ -85,8 +85,6 @@ class _Columns(NamedTuple):
     model: np.ndarray | None
     risk_cost: np.ndarray
     risk_finite: bool
-    pop: Population
-    table: GameTable
 
 
 def _columns(pop: Population, table: GameTable) -> _Columns:
@@ -99,7 +97,7 @@ def _columns(pop: Population, table: GameTable) -> _Columns:
     phi = np.array([[features(table.profiles[s], m) for s in Strategy] for m in models]).T.copy()  # (4, 2, models)
     risk = phi[3] if model is None else phi[3].take(model, axis=1)
     risk_cost = np.array([m.delta for m in members]) * risk
-    return _Columns(phi[:3], model, risk_cost, bool(np.isfinite(risk_cost).all()), pop, table)
+    return _Columns(phi[:3], model, risk_cost, bool(np.isfinite(risk_cost).all()))
 
 
 def _chunk_shares(
@@ -129,7 +127,7 @@ def _chunk_shares(
     u_collab = e[:, 0] - columns.risk_cost[0]
     u_beef = e[:, 1] - columns.risk_cost[1]
     gap = u_beef - u_collab
-    n = len(columns.pop)
+    n = columns.risk_cost.shape[1]
     failed = None
     if isinstance(rule, Quantal):
         # The larger utility's shifted score is exp(0) = 1 and the other's
@@ -164,7 +162,7 @@ def _chunk_shares(
 
 
 def _raise_member_error(
-    columns: _Columns, rule: ResponseRule, weights: tuple[float, float, float], failed: np.ndarray
+    pop: Population, table: GameTable, rule: ResponseRule, weights: tuple[float, float, float], failed: np.ndarray
 ) -> NoReturn:
     """Raise the error of the first member flagged in `failed`, one point's
     row of _chunk_shares' mask, tagged with its index: respond raises it.
@@ -172,7 +170,7 @@ def _raise_member_error(
     AssertionError."""
     idx = int(np.argmax(failed))
     try:
-        respond(rule, AlgorithmWeights(*weights), columns.pop.members[idx], columns.table)
+        respond(rule, AlgorithmWeights(*weights), pop.members[idx], table)
     except InvalidScenarioError as exc:
         raise InvalidScenarioError(f"member {idx}: {exc}") from exc
     raise AssertionError(f"member {idx} was flagged as failing at {weights} but responds")
@@ -195,7 +193,7 @@ def population_shares(
         columns = _columns(pop, table)
         collab, beef, failed = _chunk_shares(columns, rule, *(np.array([w]) for w in point))
     if failed is not None:
-        _raise_member_error(columns, rule, point, failed[0])
+        _raise_member_error(pop, table, rule, point, failed[0])
     return StrategyShares({Strategy.COLLABORATION: float(collab[0]), Strategy.BEEFING: float(beef[0])})
 
 

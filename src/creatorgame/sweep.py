@@ -50,8 +50,8 @@ class MalformedLatticeError(ValueError):
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter: `steps` evenly spaced values over [lo, hi],
-    endpoints included (steps = 1 means the single value lo)."""
+    """One swept parameter: `steps` evenly spaced values over [lo, hi], endpoints included (steps = 1
+    means lo alone). When lo < hi the step (hi - lo) / (steps - 1) must be normal: the values ascend within [lo, hi]."""
 
     name: str
     lo: float
@@ -78,9 +78,17 @@ class SweepAxis:
                 f"{self.name} axis steps must be <= {MAX_GRID_EVALUATIONS}, "
                 f"the limit of grid evaluations, got {self.steps}"
             )
+        if self.steps > 1 and lo < hi and (step := (hi - lo) / (self.steps - 1)) < 2.0**-1022:
+            raise InvalidScenarioError(
+                f"{self.name} axis step {step!r} is below the smallest normal float {2.0**-1022!r}; lower the steps"
+            )
+
+    def _array(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # only (steps - 1) * step, which linspace replaces with hi, can overflow
+            return np.linspace(self.lo, self.hi, self.steps)
 
     def values(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.lo, self.hi, self.steps)]
+        return self._array().tolist()
 
 
 @dataclass(frozen=True)
@@ -190,13 +198,11 @@ class _Lattice:
         axes = [spec.axis1] if spec.axis2 is None else [spec.axis1, spec.axis2]
         self.spec = spec
         self.names = tuple(axis.name for axis in axes)
-        with np.errstate(all="ignore"):  # a subnormal step underflows; SweepAxis keeps the values finite
-            self.values = tuple(np.linspace(axis.lo, axis.hi, axis.steps) for axis in axes)
+        self.values = tuple(axis._array() for axis in axes)
         self.cells = math.prod(axis.steps for axis in axes)
         self._phi = [features(spec.table.profiles[s], spec.creator.model) for s in Strategy]
-        # The first invalid cell raises. Values are >= lo, so a negative one shows in cell 0. Else weights,
-        # features and deltas are >= 0, rounding is monotone and values pass hi only below 1e-300 (a subnormal
-        # step), so a utility is non-finite only if one of the last cell's is (leader._values_stay_finite).
+        # The first invalid cell raises. Values ascend from lo to hi, so a negative one shows in cell 0. Else weights,
+        # features and deltas are >= 0 and rounding is monotone: a utility is non-finite only if the last cell's is.
         if not all(values[0] >= 0.0 for values in self.values):  # _checked's test, which -0.0 passes
             _raise_cell_error(spec, self.evaluate(0, 1)[0])
         last = self.evaluate(self.cells - 1, self.cells)

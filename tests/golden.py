@@ -124,7 +124,8 @@ ONE_ULP_GAP = {  # (0.1 + 0.2) + 0.3 is 0.6 + 1 ulp, but 0.1 + (0.2 + 0.3) is 0.
 def _edge_requests() -> list[dict]:
     """The CLI's error paths, in the order it checks them, and the sweep's
     edge cases: swept values at -0.0, a negative lo and utilities at the
-    edge of overflow."""
+    edge of overflow; then a subnormal axis step and outputs that cannot be
+    written."""
     out = ["--out", "out.csv", "--svg", "out.svg"]
 
     def sweep(scenario: str, axis1: str, axis2: str | None = None) -> list[str]:
@@ -151,6 +152,9 @@ def _edge_requests() -> list[dict]:
         "one-axis-svg": (sweep("example1", "delta:0:4:5"), None),
         "one-ulp-gap-eval": (["eval", SCENARIO], ONE_ULP_GAP),
         "one-ulp-gap-sweep": (sweep(SCENARIO, "alpha:0:1:3", "beta:0:1:3"), ONE_ULP_GAP),
+        "subnormal-step": (["sweep", "example1", "--axis1", "delta:0:7e-323:10", "--out", "out.csv"], None),
+        "io-error-out": (["sweep", "example1", "--axis1", "delta:0:4:5", "--out", "no/such/dir.csv"], None),
+        "io-error-svg": (sweep("example1", "alpha:0:4:5", "delta:0:1:3")[:-1] + ["no/such/dir.svg"], None),
     }
     return [{"name": f"edge/{name}", "argv": argv, "scenario": scenario} for name, (argv, scenario) in cases.items()]
 
@@ -160,8 +164,17 @@ def requests() -> list[dict]:
 
 
 def rewrite(scratch: Path) -> None:
-    """Replay every request in its own directory under scratch and write the manifest."""
+    """Replay every request in its own directory under scratch, write the
+    manifest, and print the names of the records added, removed and changed."""
     records = [replay(request, scratch / str(k)) for k, request in enumerate(requests())]
+    old = {r["name"]: r for r in json.loads(MANIFEST.read_text(encoding="utf-8"))} if MANIFEST.exists() else {}
+    new = {r["name"]: r for r in records}
+    for status, names in (
+        ("added", [name for name in new if name not in old]),
+        ("removed", [name for name in old if name not in new]),
+        ("changed", [name for name in new if name in old and new[name] != old[name]]),
+    ):
+        print(f"{status}: {len(names)}", *(f"  {name}" for name in names), sep="\n")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {MANIFEST}")

@@ -1,5 +1,6 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
+import errno
 import io
 import itertools
 import json
@@ -27,6 +28,7 @@ from creatorgame import (
     run_sweep,
     sweep,
 )
+from creatorgame import cli
 from creatorgame.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -622,6 +624,31 @@ def test_sweep_write_failure_exits_io(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_io_errors_name_the_requested_output(tmp_path, capsys, monkeypatch):
+    # a failed open of the temporary file names --out, so the message is the same on every run
+    out = tmp_path / "nope" / "out.csv"
+    for _ in range(2):
+        assert main(["sweep", "example1", "--axis1", "delta:0:4:5", "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOENT}] No such file or directory: {str(out)!r}\n"
+    # so does a failed move into place, which keeps its type, errno and strerror and leaves no *.tmp file
+    def refuse(temp, path):
+        raise PermissionError(errno.EACCES, "Permission denied", temp, path)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out.csv"
+    example1 = preset_scenario("example1")
+    spec = SweepSpec(SweepAxis("delta", 0.0, 4.0, 5), None, example1.weights, example1.creator, DEFAULT_TABLE)
+    lattice = sweep._Lattice(spec)
+    with pytest.raises(PermissionError) as info:
+        cli._write_all(lattice, [(str(out), sweep._csv_writer(lattice.names, lattice.values))])
+    assert (info.value.errno, info.value.strerror, info.value.filename, info.value.filename2) == (
+        errno.EACCES, "Permission denied", str(out), None
+    )
+    assert main(["sweep", "example1", "--axis1", "delta:0:4:5", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno {errno.EACCES}] Permission denied: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_scenario_key_exits_invalid(tmp_path, capsys):
     doc = dict(BASELINE, extra={"oops": 1})
     assert main(["eval", _write_scenario(tmp_path, doc)]) == EXIT_INVALID
@@ -642,20 +669,19 @@ def test_reproduce_examples_passes_on_fresh_build(capsys):
     assert all("expected=" in row and "actual=" in row for row in rows)
 
 
-def test_reproduce_examples_negative_control(capsys):
+def test_reproduce_examples_negative_control(capsys, monkeypatch):
     perturbed = GameTable(
         {
             Strategy.COLLABORATION: EngagementProfile(2.0, 5.0, 3.0, 0.0),
             Strategy.BEEFING: EngagementProfile(5.0, 2.0, 4.0, 2.0),  # wrong drama risk
         }
     )
-    rows, all_ok = run_example_checks(table=perturbed)
+    monkeypatch.setattr("creatorgame.cli.DEFAULT_TABLE", perturbed)
+    rows, all_ok = run_example_checks()
     assert not all_ok
     assert any("status=fail" in row for row in rows)
-    from creatorgame.cli import _cmd_reproduce_examples
-
-    assert _cmd_reproduce_examples(table=perturbed) == EXIT_CHECK_FAILED
-    capsys.readouterr()
+    assert main(["reproduce-examples"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines() == rows
 
 
 def test_cli_outputs_are_deterministic(tmp_path, capsys):

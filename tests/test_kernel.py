@@ -334,9 +334,26 @@ def test_leader_failure_before_a_member_failure_in_one_chunk(rule):
 
 def test_a_flagged_member_that_responds_is_a_kernel_fault():
     pop = Population((CreatorParams(1.0), CreatorParams(2.0)))
-    columns = population._columns(pop, DEFAULT_TABLE)
     with pytest.raises(AssertionError, match="member 1 "):
-        population._raise_member_error(columns, Exact(), (1.0, 0.0, 0.0), np.array([False, True]))
+        population._raise_member_error(pop, DEFAULT_TABLE, Exact(), (1.0, 0.0, 0.0), np.array([False, True]))
+
+
+def test_the_kernel_record_holds_arrays_only():
+    columns = population._columns(Population((CreatorParams(1.0), CreatorParams(2.0, NONLINEAR))), DEFAULT_TABLE)
+    assert columns._fields == ("feat", "model", "risk_cost", "risk_finite")
+    assert [type(x) for x in columns] == [np.ndarray, np.ndarray, np.ndarray, bool]
+
+
+def test_grid_axes_are_float64_arrays_with_the_bits_of_the_scalar_formula():
+    rng = np.random.default_rng(17)
+    cases = [(1, 5e-324), (3, 2.2250738585072014e-308), (7, 1e-300), (10, 1.0), (4470, 1.0), (3, 1e300), (2, 8e307)]
+    cases += [(int(rng.integers(1, 5001)), float(10.0 ** rng.uniform(-300, 300))) for _ in range(200)]
+    for n, bound in cases:
+        boxed = (bound, 1.0, bound)
+        for domain, bounds in ((SimplexDomain(bound, n), (bound,) * 3), (BoxDomain(*boxed, n), boxed)):
+            axes = leader._axes(domain)
+            assert [axis.dtype for axis in axes] == [np.float64] * 3
+            assert [axis.tolist() for axis in axes] == [[i * b / n for i in range(n + 1)] for b in bounds]
 
 
 @pytest.mark.parametrize("rule", RULE_CASES)
@@ -687,7 +704,7 @@ def _counting_kernel():
 
 def _stays_finite(domain, pop, table):
     """_values_stay_finite with the arguments the solve passes it."""
-    a, b, g = top = tuple(axis[-1] for axis in leader._axes(domain))
+    a, b, g = top = tuple(float(axis[-1]) for axis in leader._axes(domain))
     engagement = [features(table.profiles[s], LINEAR)[:3] for s in Strategy]
     leader_top = max((a * f1 + b * f2) + g * f3 for f1, f2, f3 in engagement)
     with np.errstate(all="ignore"):

@@ -298,27 +298,36 @@ _WIDTHS = st.sampled_from([0.0, 7e-323, 1.0, 3.0, 3.0, 1e300, 1e308, 1.7e308])
 _SMALL = st.sampled_from([0.0, 0.5, 1.0, 3.0])
 
 
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
+def _step_refusal(name, lo, hi, steps):
+    """SweepAxis' message for an axis whose step is below the smallest normal float."""
+    return f"{name} axis step {(hi - lo) / (steps - 1)!r} is below the smallest normal float {_TINY!r}; lower the steps"
+
+
 @st.composite
 def _lattice_specs(draw):
     """Small lattices, some of which fail: at a negative lo, or where a utility
     overflows, from large swept values or a large metric (a nonlinear
-    drama_risk**2 of 1e200 overflows, to nan at delta 0 and to -inf above)."""
+    drama_risk**2 of 1e200 overflows, to nan at delta 0 and to -inf above).
+    Returns the axes' (name, lo, hi, steps) and the spec's other fields: an
+    axis of a width of 7e-323 and more than one step has a subnormal step,
+    which SweepAxis refuses."""
     names = draw(st.permutations(SWEEPABLE_PARAMS))[: draw(st.integers(1, 2))]
     axes = []
     for name in names:
         lo = draw(_LOS)
         hi = lo + draw(_WIDTHS)
         assume(math.isfinite(hi))
-        axes.append(SweepAxis(name, lo, hi, draw(st.integers(1, 6))))
+        axes.append((name, lo, hi, draw(st.integers(1, 6))))
     metrics = [[draw(_SMALL) for _ in range(4)] for _ in Strategy]
     metrics[draw(st.integers(0, 1))][draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, 2.0, 1e154, 1e200, 1e308]))
-    return SweepSpec(
-        axis1=axes[0],
-        axis2=axes[1] if len(axes) == 2 else None,
-        weights=AlgorithmWeights(*(draw(_SMALL) for _ in range(3))),
-        creator=CreatorParams(draw(_SMALL), draw(st.sampled_from(UtilityModel))),
-        table=GameTable({s: EngagementProfile(*m) for s, m in zip(Strategy, metrics)}),
-    )
+    return axes, {
+        "weights": AlgorithmWeights(*(draw(_SMALL) for _ in range(3))),
+        "creator": CreatorParams(draw(_SMALL), draw(st.sampled_from(UtilityModel))),
+        "table": GameTable({s: EngagementProfile(*m) for s, m in zip(Strategy, metrics)}),
+    }
 
 
 def _cli_lattice(spec):
@@ -327,10 +336,19 @@ def _cli_lattice(spec):
 
 
 # a later cell overflows while cell 0 is finite, in the second block when rows is 2
-@example(_spec(SweepAxis("gamma", 0.0, 1e308, 5), weights=W_BASE), 2)
+@example(([("gamma", 0.0, 1e308, 5)], {"weights": W_BASE, "creator": CreatorParams(1.0), "table": DEFAULT_TABLE}), 2)
 @settings(max_examples=250, deadline=None)
 @given(_lattice_specs(), st.sampled_from([1, 2, 7, 2048]))
-def test_property_sweeps_fail_exactly_where_the_scalar_walk_first_fails(spec, rows):
+def test_property_sweeps_fail_exactly_where_the_scalar_walk_first_fails(drawn, rows):
+    fields, others = drawn
+    refused = [(name, lo, hi, k) for name, lo, hi, k in fields if k > 1 and lo < hi and (hi - lo) / (k - 1) < _TINY]
+    if refused:  # the first axis with a subnormal step is refused, with its step in the message
+        with pytest.raises(InvalidScenarioError) as info:
+            [SweepAxis(*axis) for axis in fields]
+        assert str(info.value) == _step_refusal(*refused[0])
+        return
+    axes = [SweepAxis(*axis) for axis in fields]
+    spec = SweepSpec(axes[0], axes[1] if len(axes) == 2 else None, **others)
     try:
         reference, expected = _reference_cells(spec), None
     except InvalidScenarioError as exc:
@@ -344,6 +362,38 @@ def test_property_sweeps_fail_exactly_where_the_scalar_walk_first_fails(spec, ro
                 assert str(info.value) == expected
                 continue
             assert [cell for block in evaluate(spec) for cell in block] == reference  # values, utilities, gap, choice
+
+
+_NEAR_ZERO = st.floats(-1e-300, 1e-300)
+_NEAR_TINY = st.floats(_TINY / 4, 4 * _TINY).flatmap(lambda x: st.sampled_from([x, -x]))
+_ULPS = st.integers(1, 200).map(lambda k: k * 5e-324)  # a subnormal width: linspace misorders about 1 in 4
+
+
+# np.linspace(0, 7e-323, 10) ends 8e-323, 7e-323; np.linspace(_TINY, 2.2250738585072083e-308, 10) is not monotone
+@example(0.0, 7e-323, 10)
+@example(_TINY, 2.2250738585072083e-308 - _TINY, 10)
+@example(0.0, 5e-324, 3)  # a step that underflows to 0.0 is refused too
+@example(0.0, 7e-323, 1)  # one step has no step: the value is lo
+@example(0.0, 9 * _TINY, 10)  # the smallest normal step
+@example(-1e308, 1.7976931348623157e308, 4)  # hi - lo is the largest float: linspace's (steps - 1) * step overflows
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(_NEAR_ZERO, _NEAR_TINY, st.sampled_from([-1e308, 1e308])),
+    st.one_of(_ULPS, st.floats(0.0, 1e-300), st.floats(0.0, 1.7976931348623157e308)),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**4)),
+)
+def test_property_accepted_axes_ascend_within_lo_and_hi(lo, width, steps):
+    hi = lo + width
+    assume(math.isfinite(hi) and math.isfinite(hi - lo))
+    try:
+        axis = SweepAxis("delta", lo, hi, steps)
+    except InvalidScenarioError as exc:  # only a subnormal step is refused
+        assert steps > 1 and lo < hi and (hi - lo) / (steps - 1) < _TINY
+        assert str(exc) == _step_refusal("delta", lo, hi, steps)
+        return
+    values = np.array(axis.values())
+    assert len(values) == steps and values[0] == lo and (steps == 1 or values[-1] == hi)
+    assert (np.diff(values) >= 0.0).all() and lo <= values.min() and values.max() <= hi
 
 
 def test_overflowing_axis_values_raise_the_scalar_error():
