@@ -38,10 +38,12 @@ COLLABORATION_COLOR = "#4f9d69"
 BEEFING_COLOR = "#c0504d"
 
 # Rows (cells) evaluated, formatted and written at once, set by measurement
-# on a 2-vCPU Xeon: a 1000 x 1000 CLI sweep with --svg peaks 1.8 MiB above
-# its post-import memory (8.4 MiB at 16384 rows), and 100-200 step two-axis
-# sweeps ran faster than at 1024 or 16384 rows.
-_EMIT_ROWS = 2048
+# on a 2-vCPU Xeon: on the benchmark's 100-200 step two-axis sweeps, 4096
+# rows gave 6.8% more cells/s than 2048 in 10 of 10 paired runs, at no more
+# peak memory (2048 had beaten 1024 and 16384). A 1000 x 1000 CLI sweep
+# with --svg peaks 2.9 MiB above its post-import memory (1.7 MiB at 2048
+# rows, 8.4 MiB at 16384).
+_EMIT_ROWS = 4096
 
 
 class MalformedLatticeError(ValueError):
@@ -242,8 +244,9 @@ class _Lattice:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending.
 
-    Raises the error the first invalid cell raises in that order: a swept
-    value that is negative or non-finite, or a non-finite utility.
+    Raises the error the first invalid cell raises in that order: a
+    negative swept value (SweepAxis refuses non-finite bounds), or a
+    non-finite utility.
     """
     lattice = _Lattice(spec)
     return lattice.evaluate(0, lattice.cells)
@@ -301,10 +304,18 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     return ascii_digits, zeros
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 _QUAD, _QUAD_ZEROS = _quad_tables()
 _LEAD = (np.uint64(ord("0")) + np.arange(10, dtype=np.uint64)) << np.uint64(48)  # digit d at byte 6
 _SIGN = np.array([0, ord("-")], dtype=np.uint64)  # at byte 0
 _SCALE = np.array([float(10 ** (8 - e)) for e in range(-4, 9)])  # exact: 10**k < 2**53
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
 _LOW, _HEAD, _TAIL, _POINT = _layout_tables()
 
 
@@ -319,10 +330,13 @@ def _format_9g(values: np.ndarray) -> np.ndarray:
     ulp is at most 2**-23, so frac(p) and 0.5 are both multiples of it:
     unless frac(p) == 0.5, the product lies on the same side of the half
     as p, and rounding p to nearest gives %.9g's round-half-even of the
-    product. An m of 10**9 carries into 10**8 with e + 1. A p whose floor
-    falls outside [1e8, 1e9) (±0, inf, nan, exponents outside [-4, 8], a
-    log10 that is one off), a frac(p) of exactly 0.5 (an exact or a near
-    tie), and a carry into e = 9 go to _fmt one at a time.
+    product. When frac(p) == 0.5, Dekker's TwoProduct (Veltkamp splits of
+    |v| and of the scale; numpy has no fma) gives the exact error
+    |v| * 10**(8 - e) - p: m rounds up if it is > 0, down if it is < 0,
+    and to even if it is 0, an exact half. An m of 10**9 carries into
+    10**8 with e + 1. A p whose floor falls outside [1e8, 1e9) (±0, inf,
+    nan, exponents outside [-4, 8], a log10 that is one off) and a carry
+    into e = 9 go to _fmt one at a time.
 
     Two little-endian uint64 words hold the string: the sign at byte 0,
     "0." and its zeros at bytes 1-5, d0 at byte 6 and d1..d8 at bytes
@@ -333,12 +347,19 @@ def _format_9g(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # ±0, inf and nan go to the slow path
         a = np.abs(v)
         e = np.fmax(np.fmin(np.floor(np.log10(a)), 8.0), -4.0)  # nan becomes 8: never cast a non-finite value
-        p = a * _SCALE[(e + 4.0).astype(np.intp)]
+        scale = (e + 4.0).astype(np.intp)
+        p = a * _SCALE[scale]
         whole = np.floor(p)
         frac = p - whole
         m = whole + (frac > 0.5)
+        tie = frac == 0.5
+        if tie.any():  # the side of the half the exact product is on
+            a_hi, a_lo = _split(a[tie])
+            s_hi, s_lo = _SCALE_HI[scale[tie]], _SCALE_LO[scale[tie]]
+            err = a_lo * s_lo - (((p[tie] - a_hi * s_hi) - a_lo * s_hi) - a_hi * s_lo)  # a * 10**(8 - e) - p, exactly
+            m[tie] += (err > 0.0) | ((err == 0.0) & (whole[tie] % 2.0 == 1.0))  # an exact half rounds to even
         carry = m == 1e9
-        fast = (whole >= 1e8) & (whole < 1e9) & (frac != 0.5) & ~(carry & (e == 8.0))
+        fast = (whole >= 1e8) & (whole < 1e9) & ~(carry & (e == 8.0))
     e = e.astype(np.intp) + carry
     m = np.where(fast & ~carry, m, 1e8).astype(np.intp)
     lead = m // 100_000_000
@@ -396,14 +417,15 @@ def _csv_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writ
     real = np.dtype([("value", "S16"), ("comma", "S1")])
     row = np.dtype([*((field, column.dtype) for field, column in params), ("reals", real, 3), ("chosen", chosen.dtype)])
     header = ",".join([names[a] for a in order] + ["u_collab", "u_beef", "gap", "chosen"])
+    template = np.zeros(1, dtype=row)  # every field but the commas is written per block
+    template["reals"]["comma"] = b","
 
     def rows(block: SweepResult) -> bytes:
-        lines = np.zeros(len(block), dtype=row)
+        lines = np.repeat(template, len(block))
         for (field, column), i in zip(params, block.position[order]):
             lines[field] = column[i]
         reals = _format_9g(np.stack([block.u_collab, block.u_beef, block.gap], axis=1).ravel())
         lines["reals"]["value"] = reals.view("S16").reshape(len(block), 3)
-        lines["reals"]["comma"] = b","
         lines["chosen"] = chosen[block.beefing.view(np.uint8)]
         return lines.tobytes().translate(None, b"\0")
 
@@ -439,22 +461,21 @@ def _svg_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writ
     cell_h = (bottom - top) / len(values2)
 
     # A rect is the head of its column i followed by the tail of its row j in its color.
-    heads = np.array([f'<rect x="{left + i * cell_w:.2f}" y="' for i in range(len(values1))], dtype=object)
-    tails = np.array(
-        [
-            [
-                f'{bottom - (j + 1) * cell_h:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '  # axis2 ascends upward
-                f'fill="{color}"/>'
-                for j in range(len(values2))
-            ]
-            for color in (COLLABORATION_COLOR, BEEFING_COLOR)
-        ],
-        dtype=object,
-    )
+    heads = [f'<rect x="{left + i * cell_w:.2f}" y="' for i in range(len(values1))]
+    ys = np.array([f'{bottom - (j + 1) * cell_h:.2f}"' for j in range(len(values2))], dtype=object)  # axis2 goes up
+    size = f' width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
+    tails = np.stack([ys + f'{size}{color}"/>' for color in (COLLABORATION_COLOR, BEEFING_COLOR)])
 
     def rows(block: SweepResult) -> bytes:
-        rects = heads[block.position[0]] + tails[block.beefing.astype(np.intp), block.position[1]]
-        return ("\n".join(rects.tolist()) + "\n").encode("utf-8")
+        """One join per run of cells in the same column i."""
+        i, j = block.position
+        picked = tails[block.beefing.view(np.uint8), j].tolist()
+        starts = [0, *(np.flatnonzero(i[1:] != i[:-1]) + 1).tolist()]
+        runs = (
+            heads[c] + ("\n" + heads[c]).join(picked[a:b])
+            for c, a, b in zip(i[starts].tolist(), starts, [*starts[1:], len(i)])
+        )
+        return ("\n".join(runs) + "\n").encode("utf-8")
 
     mid_x = (left + right) / 2.0
     mid_y = (top + bottom) / 2.0

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,10 +263,11 @@ class _RecordingSink(io.BytesIO):
         return super().write(data)
 
 
+@pytest.mark.parametrize("steps", [(9, 11), (1, 11), (9, 1), (1, 1)])  # blocks start and end mid-column
 @pytest.mark.parametrize("rows", [1, 2, 7, 50, 10_000])
-def test_emitters_write_bounded_row_blocks_with_the_same_bytes(rows, monkeypatch):
+def test_emitters_write_bounded_row_blocks_with_the_same_bytes(rows, steps, monkeypatch):
     monkeypatch.setattr(sweep, "_EMIT_ROWS", rows)
-    spec = _spec(SweepAxis("alpha", 0.0, 4.0, 9), SweepAxis("delta", 0.0, 5.0, 11))
+    spec = _spec(SweepAxis("alpha", 0.0, 4.0, steps[0]), SweepAxis("delta", 0.0, 5.0, steps[1]))
     result, reference = run_sweep(spec), _reference_cells(spec)
     blocks = -(-len(result) // rows)
     expected = {emit_csv: (_reference_csv(reference), 0), emit_region_svg: (_reference_svg(spec, reference), 1)}
@@ -626,8 +628,18 @@ def _powers_of_ten_and_neighbours():
         yield from (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf))
 
 
+# |v| * 10**(8 - e) rounds to a p with frac(p) == 0.5; the exact product lies above the half, below it, or on it
+# (round half to even). At e = 8 the product is |v| itself, so only exact halves occur there.
+NEAR_TIES = [
+    0.00045678912350000003, 0.0001234567895, 0.0003662109375, 0.0001220703125,  # e = -4
+    3.141592655, 9.876543215, 1.005859375, 1.001953125,  # e = 0
+    31415926.55, 12345678.95, 123456789.5, 123456788.5,  # e = 7 and 8
+    0.0009999999995,  # above the half: carries to 0.001
+]
+
 FORMAT_EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,  # outside fixed notation
+    *NEAR_TIES, *(-v for v in NEAR_TIES),
     1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.9999999995e-5, -9.9999999995e-5,
     # halves at the ninth digit
     12345678.25, 12345678.75, -12345678.25, 0.5, 2.5, 1.0000000005, 99999999.95, 999999999.5, 1e9,
@@ -640,6 +652,22 @@ FORMAT_EDGES = [
 def test_format_9g_edges_match_format():
     assert _formatted(FORMAT_EDGES) == [format(v, ".9g").encode() for v in FORMAT_EDGES]
     assert _formatted([]) == []
+
+
+def test_format_9g_rounds_near_ties_without_python(monkeypatch):
+    sides = set()
+    for v in NEAR_TIES:
+        e = min(math.floor(math.log10(v)), 8)
+        p = v * 10.0 ** (8 - e)
+        assert p % 1.0 == 0.5
+        exact = Fraction(v) * 10 ** (8 - e) - Fraction(p)
+        sides.add((exact > 0) - (exact < 0))
+    assert sides == {-1, 0, 1}
+    calls = []
+    monkeypatch.setattr(sweep, "_fmt", lambda value: calls.append(value) or format(value, ".9g"))
+    values = [sign * v for v in NEAR_TIES for sign in (1.0, -1.0)] * 50
+    assert _formatted(values) == [format(v, ".9g").encode() for v in values]
+    assert calls == []
 
 
 @settings(max_examples=300, deadline=None)
