@@ -10,10 +10,10 @@ Subcommands:
 
 Scenario arguments accept a JSON file path or a preset name (example1,
 example2, example3, tiktok-like, youtube-like); an existing file wins over
-a preset of the same name. Output is fixed key=value lines; reals use 9
-significant digits, but best-response's delta_star has 9 fixed decimals.
-Exit codes: 0 success, 1 I/O failure, 2 invalid scenario or flags, 3 example
-checks failed.
+a preset of its name, a preset over a directory. Output is fixed key=value
+lines; reals use 9 significant digits, but best-response's delta_star has
+9 fixed decimals. Exit codes: 0 success, 1 I/O failure, 2 invalid scenario
+or flags, 3 example checks failed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ EXIT_CHECK_FAILED = 3
 
 
 def _resolve_scenario(arg: str) -> Scenario:
-    if Path(arg).exists():
+    if Path(arg).exists() and not (arg in PRESETS and os.path.isdir(arg)):  # a directory holds no scenario
         return load_scenario(arg)
     if arg in PRESETS:
         return preset_scenario(arg)
@@ -101,10 +101,11 @@ def _parse_axis(flag: str) -> SweepAxis:
     return SweepAxis(name=name, lo=lo, hi=hi, steps=steps)
 
 
-def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
+def _write_all(lattice: _Lattice, outputs: list[tuple[str, str, _Writer]]) -> None:
     """Evaluate the lattice block by block and write each block straight into
     a temporary file beside each output's target, then move them into place
-    only once every output is written. An OSError names the output, not its temporary file."""
+    only once every output is written. An output is (path asked for, resolved
+    target, writer); an OSError names only the path asked for."""
 
     def naming(path: str, call, *args):
         try:
@@ -116,15 +117,18 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
     try:
         with contextlib.ExitStack() as stack:
             streams = []
-            for path, writer in outputs:
-                if os.path.isdir(path):  # os.replace would fail only after earlier outputs were moved
+            for path, target, writer in outputs:
+                # os.replace fails on a directory after earlier outputs moved; realpath drops a final "/", "." or ".."
+                if os.path.isdir(target) or os.path.basename(path) in ("", ".", ".."):
                     raise IsADirectoryError(errno.EISDIR, "is a directory", path)
-                temp = f"{path}.{os.urandom(6).hex()}.tmp"
+                if os.path.lexists(target) and not os.path.isfile(target):  # a FIFO, a device or a looping symlink
+                    raise OSError(errno.EINVAL, "not a regular file", path)
+                temp = f"{target}.{os.urandom(6).hex()}.tmp"
                 streams.append((writer, stack.enter_context(naming(path, open, temp, "xb"))))
                 temps.append(temp)
             _emit(streams, lattice.blocks())
-        for temp, (path, _) in zip(temps, outputs):
-            naming(path, os.replace, temp, path)
+        for temp, (path, target, _) in zip(temps, outputs):
+            naming(path, os.replace, temp, target)
     finally:
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):  # already moved into place
@@ -132,8 +136,11 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, _Writer]]) -> None:
 
 
 def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg: str | None) -> int:
-    if svg is not None and os.path.realpath(svg) == os.path.realpath(out):  # the SVG would replace the CSV
-        raise InvalidScenarioError(f"--out and --svg name the same file, {os.path.realpath(out)!r}")
+    # each output is resolved once: its target is compared, checked, written and replaced, so a symlink stays
+    formats = [(path, os.path.realpath(path), writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer))
+               if path is not None]
+    if len({target for _, target, _ in formats}) < len(formats):  # the SVG would replace the CSV
+        raise InvalidScenarioError(f"--out and --svg name the same file, {formats[0][1]!r}")
     if not isinstance(scenario.rule, Exact):
         raise ScenarioError(f"scenario.rule: sweeps use the exact rule only, got {scenario.rule!r}")
     spec = SweepSpec(
@@ -145,8 +152,8 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         rule=scenario.rule,
     )
     lattice = _Lattice(spec)  # raises the first invalid cell's error before any file is opened
-    formats = [(path, writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer)) if path is not None]
-    outputs = [(path, writer(lattice.names, lattice.values)) for path, writer in formats]  # one-axis --svg raises
+    # a one-axis --svg raises here
+    outputs = [(path, target, writer(lattice.names, lattice.values)) for path, target, writer in formats]
     _write_all(lattice, outputs)
     print(f"rows={lattice.cells}")
     return EXIT_OK

@@ -35,6 +35,14 @@ def _checked(name: str, value: float, minimum: float | None = 0.0) -> float:
     return value
 
 
+def _count(name: str, value: int, limit: int | None = None) -> None:
+    """Raise unless value is an int (not a bool) >= 1, and at most limit, a limit of grid evaluations, if given."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+    if limit is not None and value > limit:  # refused before anything is allocated
+        raise InvalidScenarioError(f"{name} must be <= {limit}, the limit of grid evaluations, got {value}")
+
+
 class Strategy(Enum):
     """The two creator strategies.
 

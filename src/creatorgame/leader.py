@@ -25,6 +25,7 @@ from .core import (
     Strategy,
     UtilityModel,
     _checked,
+    _count,
     _engagement,
     creator_utility,
     features,
@@ -66,8 +67,7 @@ class SimplexDomain:
         object.__setattr__(self, "total", _checked("total", self.total))
         if self.total <= 0.0:
             raise InvalidScenarioError(f"total must be > 0, got {self.total!r}")
-        if not isinstance(self.resolution, int) or self.resolution < 1:
-            raise InvalidScenarioError(f"resolution must be an integer >= 1, got {self.resolution!r}")
+        _count("resolution", self.resolution)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ class BoxDomain:
             if value <= 0.0:
                 raise InvalidScenarioError(f"{name} must be > 0, got {value!r}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.resolution, int) or self.resolution < 1:
-            raise InvalidScenarioError(f"resolution must be an integer >= 1, got {self.resolution!r}")
+        _count("resolution", self.resolution)
 
 
 WeightDomain = Union[SimplexDomain, BoxDomain]

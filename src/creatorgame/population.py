@@ -21,6 +21,7 @@ from .core import (
     Strategy,
     UtilityModel,
     _checked,
+    _count,
     _engagement,
     features,
 )
@@ -208,12 +209,7 @@ def make_delta_grid_population(
     Both endpoints are included; count = 1 yields a single member at
     delta_min.
     """
-    if count < 1:
-        raise InvalidScenarioError(f"count must be >= 1, got {count}")
-    if count > MAX_GRID_EVALUATIONS:  # refused before anything is allocated
-        raise InvalidScenarioError(
-            f"count must be <= {MAX_GRID_EVALUATIONS}, the limit of grid evaluations, got {count}"
-        )
+    _count("count", count, MAX_GRID_EVALUATIONS)
     delta_min = _checked("delta_min", delta_min, minimum=None)  # an infinite bound makes linspace give nan
     delta_max = _checked("delta_max", delta_max, minimum=None)
     if not (0.0 <= delta_min <= delta_max):

@@ -100,25 +100,26 @@ def _object(doc: object, path: str, keys: Iterable[str]) -> dict:
     return doc
 
 
-_TOO_LARGE = "expected a number, got an integer too large for a float"
-
-
-def _value(obj: dict, key: str, path: str, integer: bool, default: float | None):
-    """The number field obj[key], an int if integer, else a float; default
-    when the field is absent, which is an error when default is None."""
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: missing required value")
-        return default
-    value = obj[key]
+def _number(value: object, where: str, integer: bool = False):
+    """The JSON number value, an int if integer, else a float; a bool, any
+    other type and an int too large for a float raise under where."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+        raise ScenarioError(f"{where}: expected {'an integer' if integer else 'a number'}, got {value!r}")
     if integer:
         return value
     try:
         return float(value)
     except OverflowError:
-        raise ScenarioError(f"{path}.{key}: {_TOO_LARGE}") from None
+        raise ScenarioError(f"{where}: expected a number, got an integer too large for a float") from None
+
+
+def _value(obj: dict, key: str, path: str, integer: bool, default: float | None):
+    """The number field obj[key], read by _number; default when it is absent, an error if default is None."""
+    if key not in obj:
+        if default is None:
+            raise ScenarioError(f"{path}.{key}: missing required value")
+        return default
+    return _number(obj[key], f"{path}.{key}", integer)
 
 
 # A record is (make, fields): a section of number fields only, key ->
@@ -169,16 +170,8 @@ def _table(doc: object, path: str) -> GameTable:
 def _deltas(doc: object, path: str, model: UtilityModel) -> Population:
     if not isinstance(doc, list) or not doc:
         raise ScenarioError(f"{path}: expected a non-empty list")
-    members = []
-    for i, value in enumerate(doc):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}[{i}]: expected a number, got {value!r}")
-        try:
-            delta = float(value)
-        except OverflowError:
-            raise ScenarioError(f"{path}[{i}]: {_TOO_LARGE}") from None
-        members.append(CreatorParams(delta=delta, model=model))
-    return Population(tuple(members))
+    # each member is built before the next value is read, so the first bad element raises
+    return Population(tuple(CreatorParams(_number(value, f"{path}[{i}]"), model) for i, value in enumerate(doc)))
 
 
 def _grid(doc: object, path: str, model: UtilityModel) -> Population:

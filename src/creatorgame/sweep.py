@@ -25,6 +25,7 @@ from .core import (
     InvalidScenarioError,
     Strategy,
     _checked,
+    _count,
     _engagement,
     creator_utility,
     features,
@@ -73,13 +74,7 @@ class SweepAxis:
             raise InvalidScenarioError(f"{self.name} axis range [{lo!r}, {hi!r}] is too wide: hi - lo overflows")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if not isinstance(self.steps, int) or self.steps < 1:
-            raise InvalidScenarioError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.steps > MAX_GRID_EVALUATIONS:  # refused before anything is allocated
-            raise InvalidScenarioError(
-                f"{self.name} axis steps must be <= {MAX_GRID_EVALUATIONS}, "
-                f"the limit of grid evaluations, got {self.steps}"
-            )
+        _count(f"{self.name} axis steps", self.steps, MAX_GRID_EVALUATIONS)
         if self.steps > 1 and lo < hi and (step := (hi - lo) / (self.steps - 1)) < 2.0**-1022:
             raise InvalidScenarioError(
                 f"{self.name} axis step {step!r} is below the smallest normal float {2.0**-1022!r}; lower the steps"

@@ -133,13 +133,16 @@ def _edge_requests() -> list[dict]:
 
     budget = {**BASE, "domain": {"simplex": {"total": 1.0, "resolution": 10**6}}}
     quantal = {**BASE, "rule": {"quantal": {"lambda": 1.0}}}
+    no_members = {**BASE, "population": {"grid": {"min": 0, "max": 1, "count": 0}}}
     same = ["sweep", "example1", "--axis1", "alpha:0:1:3", "--axis2", "delta:0:1:3", "--out", "a.csv", "--svg", "a.csv"]
     cases = {
         "missing-scenario": (["eval", "no-such-scenario"], None),
         "bad-json": (["eval", SCENARIO], "{"),
+        "population-count-zero": (["equilibrium", SCENARIO], no_members),
         "over-budget-equilibrium": (["equilibrium", SCENARIO], budget),
         "same-out-and-svg": (same, None),
         "sweep-quantal-rule": (sweep(SCENARIO, "alpha:0:1:3"), quantal),
+        "zero-steps": (["sweep", "example1", "--axis1", "delta:0:4:0", "--out", "out.csv"], None),
         "oversized-sweep": (sweep("example1", "alpha:0:1:4000", "delta:0:1:4000"), None),
         "too-wide-axis": (sweep("example1", "alpha:-1e308:1e308:3", "delta:0:1:3"), None),
         "negative-lo-axis1": (sweep("example1", "alpha:-1:1:4", "delta:0:1:5"), None),

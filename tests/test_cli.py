@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -624,6 +625,58 @@ def test_sweep_write_failure_exits_io(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_sweep_refuses_an_output_that_is_not_a_regular_file(tmp_path, capsys, flag):
+    # a FIFO stands for every node os.replace would replace: a device too, which no test may risk
+    pipe, grid = tmp_path / "pipe", tmp_path / "grid.csv"
+    os.mkfifo(pipe)
+    grid.write_bytes(b"old")
+    outputs = {"--out": [str(pipe), str(tmp_path / "grid.svg")], "--svg": [str(grid), str(pipe)]}[flag]
+    argv = ["sweep", "example1", "--axis1", "delta:0:4:5", "--axis2", "alpha:0:1:2"]
+    assert main([*argv, "--out", outputs[0], "--svg", outputs[1]]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EINVAL}] not a regular file: {str(pipe)!r}\n")
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert grid.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "pipe"]
+
+
+@pytest.mark.parametrize("out", ["new/", "grid.csv/", "grid.csv/.", "new/..", "."])
+def test_sweep_refuses_an_output_path_that_names_a_directory(tmp_path, monkeypatch, capsys, out):
+    # the resolved target drops the trailing part, so "new/" must not become a file "new"
+    monkeypatch.chdir(tmp_path)
+    Path("grid.csv").write_bytes(b"old")
+    assert main(["sweep", "example1", "--axis1", "delta:0:4:5", "--out", out]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] is a directory: {out!r}\n")
+    assert os.listdir() == ["grid.csv"]
+    assert Path("grid.csv").read_bytes() == b"old"
+
+
+def test_sweep_writes_a_symlinked_output_through_its_link(tmp_path, capsys):
+    argv = ["sweep", "example3", "--axis1", "delta:0:4:9", "--axis2", "alpha:0:3:7"]
+    assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == EXIT_OK
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(b"old")
+    link.symlink_to("real.csv")
+    assert main([*argv, "--out", str(link)]) == EXIT_OK
+    assert os.readlink(link) == "real.csv"
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    # the link and its target are one file
+    assert main([*argv, "--out", str(link), "--svg", str(real)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: --out and --svg name the same file, {os.path.realpath(real)!r}\n"
+    # a dangling link creates its target; a link to itself has no target to write, and stays
+    (tmp_path / "dangling.csv").symlink_to("new.csv")
+    assert main([*argv, "--out", str(tmp_path / "dangling.csv")]) == EXIT_OK
+    assert (tmp_path / "new.csv").read_bytes() == real.read_bytes()
+    loop = tmp_path / "loop.csv"
+    loop.symlink_to("loop.csv")
+    assert main([*argv, "--out", str(loop)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno {errno.EINVAL}] not a regular file: {str(loop)!r}\n"
+    assert os.readlink(loop) == "loop.csv"
+    names = ["dangling.csv", "link.csv", "loop.csv", "new.csv", "plain.csv", "real.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 def test_io_errors_name_the_requested_output(tmp_path, capsys, monkeypatch):
     # a failed open of the temporary file names --out, so the message is the same on every run
     out = tmp_path / "nope" / "out.csv"
@@ -640,7 +693,7 @@ def test_io_errors_name_the_requested_output(tmp_path, capsys, monkeypatch):
     spec = SweepSpec(SweepAxis("delta", 0.0, 4.0, 5), None, example1.weights, example1.creator, DEFAULT_TABLE)
     lattice = sweep._Lattice(spec)
     with pytest.raises(PermissionError) as info:
-        cli._write_all(lattice, [(str(out), sweep._csv_writer(lattice.names, lattice.values))])
+        cli._write_all(lattice, [(str(out), str(out), sweep._csv_writer(lattice.names, lattice.values))])
     assert (info.value.errno, info.value.strerror, info.value.filename, info.value.filename2) == (
         errno.EACCES, "Permission denied", str(out), None
     )
@@ -654,6 +707,36 @@ def test_unknown_scenario_key_exits_invalid(tmp_path, capsys):
     assert main(["eval", _write_scenario(tmp_path, doc)]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert "scenario.extra" in err
+
+
+def test_a_preset_wins_over_a_directory_of_its_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "example1"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    Path("example1").mkdir()
+    assert main(["eval", "example1"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    # a directory that names no preset is read as a file, and fails as one
+    Path("mine").mkdir()
+    assert main(["eval", "mine"]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: 'mine'\n"
+    # a file still wins over a preset of its name
+    Path("example3").write_text(json.dumps(BASELINE))
+    assert main(["eval", "example3"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_console_script_entry_exits_with_main_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    entry = [sys.executable, "-c", "from creatorgame.cli import entry; entry()"]
+    proc = subprocess.run([*entry, "eval", "example1"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "Collaboration=16.5\nBeefing=12\ngap=-4.5\n", "")
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "example1", "--axis1", "delta:0:4", "--out", str(out)]
+    proc = subprocess.run([*entry, *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr == "error: axis flag must be name:lo:hi:steps, got 'delta:0:4'\n"
+    assert not out.exists()
 
 
 def test_missing_scenario_file_exits_io(capsys):

@@ -1,6 +1,7 @@
 """Utility models: golden values, algebraic properties, and validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +9,20 @@ import pytest
 import creatorgame
 from creatorgame import (
     AlgorithmWeights,
+    BoxDomain,
     CreatorParams,
     DEFAULT_TABLE,
     EngagementProfile,
     GameTable,
     InvalidScenarioError,
+    SimplexDomain,
     Strategy,
     StrategyShares,
+    SweepAxis,
     UtilityModel,
     algorithm_utility,
     creator_utility,
+    make_delta_grid_population,
     switching_delta,
     utility_gap,
 )
@@ -174,6 +179,23 @@ def test_negative_and_nonfinite_inputs_rejected():
         EngagementProfile(1.0, -2.0, 3.0, 0.0)
     with pytest.raises(InvalidScenarioError):
         CreatorParams(1.0, model="linear")  # must be the enum, not a string
+
+
+COUNT_SITES = {
+    "simplex": ("resolution", lambda n: SimplexDomain(resolution=n)),
+    "box": ("resolution", lambda n: BoxDomain(1.0, 1.0, 1.0, resolution=n)),
+    "sweep-axis": ("delta axis steps", lambda n: SweepAxis("delta", 0.0, 1.0, n)),
+    "delta-grid": ("count", lambda n: make_delta_grid_population(0.0, 1.0, n)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", False, 0])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_every_count_is_an_integer_at_least_one(site, bad):
+    name, make = COUNT_SITES[site]
+    with pytest.raises(InvalidScenarioError, match=f"^{re.escape(f'{name} must be an integer >= 1, got {bad!r}')}$"):
+        make(bad)
+    make(1)
 
 
 def test_game_table_requires_both_strategies():

@@ -327,7 +327,7 @@ EXACT_MESSAGES = [
     (_with(population={"grid": {"min": 0, "max": 1, "count": TOO_MANY}}),
      f"scenario.population: count must be <= 10000000, the limit of grid evaluations, got {TOO_MANY}"),
     (_with(population={"grid": {"min": 0, "max": 1, "count": 0}}),
-     "scenario.population: count must be >= 1, got 0"),
+     "scenario.population: count must be an integer >= 1, got 0"),
     (_with(population={"grid": {"min": 2, "max": 1, "count": 2}}),
      "scenario.population: need 0 <= delta_min <= delta_max, got [2.0, 1.0]"),
     (_with(population={"grid": {"min": -1, "max": 1, "count": 2}}),
