@@ -52,17 +52,6 @@ from .leader import (
     grid_size,
     stackelberg_solve,
 )
-from .sweep import (
-    MalformedLatticeError,
-    SweepAxis,
-    SweepCell,
-    SweepResult,
-    SweepSpec,
-    emit_csv,
-    emit_region_svg,
-    region_boundary,
-    run_sweep,
-)
 from .scenario import (
     PRESETS,
     Scenario,
@@ -73,6 +62,29 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+# the sweep names load on first use (PEP 562), so a solve never imports the sweep module
+_SWEEP_NAMES = frozenset(
+    {
+        "MalformedLatticeError",
+        "SweepAxis",
+        "SweepCell",
+        "SweepResult",
+        "SweepSpec",
+        "emit_csv",
+        "emit_region_svg",
+        "region_boundary",
+        "run_sweep",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+
+    return getattr(sweep, name)
 
 __all__ = [
     "AlgorithmWeights",

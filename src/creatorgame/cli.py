@@ -24,6 +24,7 @@ import errno
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     AlgorithmWeights,
@@ -31,12 +32,15 @@ from .core import (
     DEFAULT_TABLE,
     InvalidScenarioError,
     Strategy,
+    _fmt,
     creator_utility,
 )
 from .leader import check_grid_budget, stackelberg_solve
 from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
-from .sweep import SweepAxis, SweepSpec, _csv_writer, _emit, _fmt, _Lattice, _svg_writer, _Writer
+
+if TYPE_CHECKING:  # the sweep module is imported by the sweep subcommand alone
+    from .sweep import SweepAxis, _Lattice, _Writer
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -90,6 +94,8 @@ def _cmd_equilibrium(scenario: Scenario) -> int:
 
 
 def _parse_axis(flag: str) -> SweepAxis:
+    from .sweep import SweepAxis
+
     parts = flag.split(":")
     if len(parts) != 4:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}")
@@ -106,6 +112,7 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, str, _Writer]]) -> No
     a temporary file beside each output's target, then move them into place
     only once every output is written. An output is (path asked for, resolved
     target, writer); an OSError names only the path asked for."""
+    from .sweep import _emit
 
     def naming(path: str, call, *args):
         try:
@@ -136,6 +143,8 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, str, _Writer]]) -> No
 
 
 def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg: str | None) -> int:
+    from .sweep import SweepSpec, _csv_writer, _Lattice, _svg_writer
+
     # each output is resolved once: its target is compared, checked, written and replaced, so a symlink stays
     formats = [(path, os.path.realpath(path), writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer))
                if path is not None]
@@ -209,36 +218,55 @@ def _cmd_reproduce_examples() -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_SCENARIO = ("scenario", {"help": "scenario JSON path or preset name"})
+
+# subcommand -> (help, its arguments as (name or flag, add_argument options)), in the order --help lists them
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
+    "eval": ("per-strategy utilities and the gap", (_SCENARIO,)),
+    "best-response": ("chosen strategy and switching delta", (_SCENARIO,)),
+    "equilibrium": ("grid-search optimum over the weight domain", (_SCENARIO,)),
+    "sweep": (
+        "parameter sweep to CSV (and optional SVG map)",
+        (
+            _SCENARIO,
+            ("--axis1", {"required": True, "metavar": "name:lo:hi:steps"}),
+            ("--axis2", {"default": None, "metavar": "name:lo:hi:steps"}),
+            ("--out", {"required": True, "help": "CSV output path"}),
+            ("--svg", {"default": None, "help": "SVG region-map output path (2-axis sweeps)"}),
+        ),
+    ),
+    "reproduce-examples": ("verify the built-in worked examples", ()),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for an argv whose first item is command: only that subcommand's
+    subparser when command names one, every subparser otherwise (no command,
+    -h, or an unknown name), so help and errors list them all. A lone
+    subparser lists every name as its metavar, which keeps the root usage line
+    of an error such as "unrecognized arguments" the same."""
     parser = argparse.ArgumentParser(
         prog="creatorgame",
         description="Engagement-weight game solver: creator best responses and platform optima.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="per-strategy utilities and the gap")
-    p.add_argument("scenario", help="scenario JSON path or preset name")
-
-    p = sub.add_parser("best-response", help="chosen strategy and switching delta")
-    p.add_argument("scenario", help="scenario JSON path or preset name")
-
-    p = sub.add_parser("equilibrium", help="grid-search optimum over the weight domain")
-    p.add_argument("scenario", help="scenario JSON path or preset name")
-
-    p = sub.add_parser("sweep", help="parameter sweep to CSV (and optional SVG map)")
-    p.add_argument("scenario", help="scenario JSON path or preset name")
-    p.add_argument("--axis1", required=True, metavar="name:lo:hi:steps")
-    p.add_argument("--axis2", default=None, metavar="name:lo:hi:steps")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--svg", default=None, help="SVG region-map output path (2-axis sweeps)")
-
-    sub.add_parser("reproduce-examples", help="verify the built-in worked examples")
-
+    if command in _COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "reproduce-examples":
             return _cmd_reproduce_examples()

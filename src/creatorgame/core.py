@@ -43,6 +43,11 @@ def _count(name: str, value: int, limit: int | None = None) -> None:
         raise InvalidScenarioError(f"{name} must be <= {limit}, the limit of grid evaluations, got {value}")
 
 
+def _fmt(value: float) -> str:
+    """9 significant digits, no trailing zeros (exact for all golden values): every real the CLI prints or writes."""
+    return format(float(value), ".9g")
+
+
 class Strategy(Enum):
     """The two creator strategies.
 

@@ -27,6 +27,7 @@ from .core import (
     _checked,
     _count,
     _engagement,
+    _fmt,
     creator_utility,
     features,
 )
@@ -256,11 +257,6 @@ def region_boundary(spec: SweepSpec) -> float | None:
     if boundary is None or not (spec.axis1.lo <= boundary <= spec.axis1.hi):
         return None
     return boundary
-
-
-def _fmt(value: float) -> str:
-    """9 significant digits, no trailing zeros (exact for all golden values)."""
-    return format(float(value), ".9g")
 
 
 def _layout_tables() -> tuple[np.ndarray, ...]:

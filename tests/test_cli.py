@@ -1,5 +1,6 @@
 """CLI subcommands: output format, exit codes, determinism."""
 
+import contextlib
 import errno
 import io
 import itertools
@@ -436,7 +437,7 @@ def test_sweep_svg_needs_two_axes(tmp_path, capsys):
 
 def test_failed_sweep_keeps_earlier_outputs_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     # the one-axis --svg error comes before any output is emitted
-    monkeypatch.setattr("creatorgame.cli._emit", lambda outputs, blocks: pytest.fail("output emitted"))
+    monkeypatch.setattr("creatorgame.sweep._emit", lambda outputs, blocks: pytest.fail("output emitted"))
     out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
     out_csv.write_bytes(b"old csv\n")
     out_svg.write_bytes(b"old svg\n")
@@ -737,6 +738,82 @@ def test_console_script_entry_exits_with_main_code(tmp_path):
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
     assert proc.stderr == "error: axis flag must be name:lo:hi:steps, got 'delta:0:4'\n"
     assert not out.exists()
+
+
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--", "equilibrium", "x"],
+    ["equ", "x"],
+    ["equilibrium"],
+    ["equilibrium", "x", "--bogus"],
+    ["equilibrium", "a", "b"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["sweep", "x", "--axis1", "delta:0:4:5"],
+    ["sweep", "x", "--out", "a.csv"],
+]
+
+
+def _parse(command, argv):
+    """(exit code, stdout, stderr, namespace) of one parse of argv by _build_parser(command)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(cli._build_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_parser_built_for_argv0_parses_as_the_full_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    assert _parse(argv[0] if argv else None, argv) == _parse(None, argv)
+
+
+def test_parser_errors_name_the_command_argument(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert "required: command" in _parse(None, [])[2]
+    assert "argument command: invalid choice: 'bogus'" in _parse(None, ["bogus"])[2]
+
+
+def test_main_builds_a_parser_for_argv0_on_every_call(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: built.append(command) or build(command))
+    monkeypatch.setattr(sys, "argv", ["creatorgame", "eval", "example1"])
+    assert main() == EXIT_OK
+    assert main(["eval", "example1"]) == EXIT_OK
+    with pytest.raises(SystemExit):
+        main([])
+    capsys.readouterr()
+    assert built == ["eval", "eval", None]
+
+
+def test_a_solve_leaves_the_sweep_module_unimported_and_the_api_whole():
+    script = """
+import sys
+import creatorgame.cli
+assert creatorgame.cli.main(["equilibrium", "example1"]) == 0
+assert "creatorgame.sweep" not in sys.modules, "the solve imported creatorgame.sweep"
+import creatorgame
+assert [name for name in creatorgame.__all__ if not hasattr(creatorgame, name)] == []
+namespace = {}
+exec("from creatorgame import *", namespace)
+assert [name for name in creatorgame.__all__ if namespace.get(name) is not getattr(creatorgame, name)] == []
+try:
+    creatorgame.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown attribute resolved")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("grid_points=5151\n")
 
 
 def test_missing_scenario_file_exits_io(capsys):
