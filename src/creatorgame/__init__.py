@@ -64,21 +64,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 # the sweep names load on first use (PEP 562), so a solve never imports the sweep module
-_SWEEP_NAMES = frozenset(
-    {
-        "MalformedLatticeError",
-        "SweepAxis",
-        "SweepCell",
-        "SweepResult",
-        "SweepSpec",
-        "emit_csv",
-        "emit_region_svg",
-        "region_boundary",
-        "run_sweep",
-    }
-)
-
-
 def __getattr__(name: str):
     if name not in _SWEEP_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -138,4 +123,8 @@ __all__ = [
     "stackelberg_solve",
     "switching_delta",
     "utility_gap",
+    "write_sweep",
 ]
+
+# every public name not imported above is the sweep module's
+_SWEEP_NAMES = frozenset(__all__).difference(globals())

@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .core import (
     AlgorithmWeights,
@@ -40,7 +41,7 @@ from .response import Exact, best_response, switching_delta
 from .scenario import PRESETS, Scenario, ScenarioError, load_scenario, preset_scenario
 
 if TYPE_CHECKING:  # the sweep module is imported by the sweep subcommand alone
-    from .sweep import SweepAxis, _Lattice, _Writer
+    from .sweep import SweepAxis, SweepResult
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -96,23 +97,21 @@ def _cmd_equilibrium(scenario: Scenario) -> int:
 def _parse_axis(flag: str) -> SweepAxis:
     from .sweep import SweepAxis
 
-    parts = flag.split(":")
-    if len(parts) != 4:
-        raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}")
-    name, lo, hi, steps = parts
-    try:
+    try:  # a wrong number of fields fails to unpack with a ValueError too
+        name, lo, hi, steps = flag.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise InvalidScenarioError(f"axis flag must be name:lo:hi:steps, got {flag!r}") from exc
     return SweepAxis(name=name, lo=lo, hi=hi, steps=steps)
 
 
-def _write_all(lattice: _Lattice, outputs: list[tuple[str, str, _Writer]]) -> None:
-    """Evaluate the lattice block by block and write each block straight into
-    a temporary file beside each output's target, then move them into place
-    only once every output is written. An output is (path asked for, resolved
-    target, writer); an OSError names only the path asked for."""
-    from .sweep import _emit
+def _write_all(cells: SweepResult, outputs: list[tuple[str, str] | None]) -> None:
+    """Write the sweep's CSV and, unless its output is None, its SVG in one
+    walk of the lattice, each straight into a temporary file beside its
+    target, then move them into place only once every output is written. An
+    output is (path asked for, resolved target); an OSError names only the
+    path asked for."""
+    from .sweep import write_sweep
 
     def naming(path: str, call, *args):
         try:
@@ -120,36 +119,36 @@ def _write_all(lattice: _Lattice, outputs: list[tuple[str, str, _Writer]]) -> No
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, path) from exc
 
+    def open_temp(path: str, target: str) -> BinaryIO:
+        # os.replace fails on a directory after earlier outputs moved; realpath drops a final "/", "." or ".."
+        if os.path.isdir(target) or os.path.basename(path) in ("", ".", ".."):
+            raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+        if os.path.lexists(target) and not os.path.isfile(target):  # a FIFO, a device or a looping symlink
+            raise OSError(errno.EINVAL, "not a regular file", path)
+        temp = f"{target}.{os.urandom(6).hex()}.tmp"
+        sink = stack.enter_context(naming(path, open, temp, "xb"))
+        temps.append((temp, path, target))
+        return sink
+
     temps = []
     try:
         with contextlib.ExitStack() as stack:
-            streams = []
-            for path, target, writer in outputs:
-                # os.replace fails on a directory after earlier outputs moved; realpath drops a final "/", "." or ".."
-                if os.path.isdir(target) or os.path.basename(path) in ("", ".", ".."):
-                    raise IsADirectoryError(errno.EISDIR, "is a directory", path)
-                if os.path.lexists(target) and not os.path.isfile(target):  # a FIFO, a device or a looping symlink
-                    raise OSError(errno.EINVAL, "not a regular file", path)
-                temp = f"{target}.{os.urandom(6).hex()}.tmp"
-                streams.append((writer, stack.enter_context(naming(path, open, temp, "xb"))))
-                temps.append(temp)
-            _emit(streams, lattice.blocks())
-        for temp, (path, target, _) in zip(temps, outputs):
+            write_sweep(cells, *(functools.partial(open_temp, *out) if out else None for out in outputs))
+        for temp, path, target in temps:
             naming(path, os.replace, temp, target)
     finally:
-        for temp in temps:
+        for temp, _, _ in temps:
             with contextlib.suppress(FileNotFoundError):  # already moved into place
                 os.remove(temp)
 
 
 def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg: str | None) -> int:
-    from .sweep import SweepSpec, _csv_writer, _Lattice, _svg_writer
+    from .sweep import SweepSpec, run_sweep
 
     # each output is resolved once: its target is compared, checked, written and replaced, so a symlink stays
-    formats = [(path, os.path.realpath(path), writer) for path, writer in ((out, _csv_writer), (svg, _svg_writer))
-               if path is not None]
-    if len({target for _, target, _ in formats}) < len(formats):  # the SVG would replace the CSV
-        raise InvalidScenarioError(f"--out and --svg name the same file, {formats[0][1]!r}")
+    outputs = [None if path is None else (path, os.path.realpath(path)) for path in (out, svg)]
+    if svg is not None and outputs[0][1] == outputs[1][1]:  # the SVG would replace the CSV
+        raise InvalidScenarioError(f"--out and --svg name the same file, {outputs[0][1]!r}")
     if not isinstance(scenario.rule, Exact):
         raise ScenarioError(f"scenario.rule: sweeps use the exact rule only, got {scenario.rule!r}")
     spec = SweepSpec(
@@ -160,11 +159,9 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         table=scenario.table,
         rule=scenario.rule,
     )
-    lattice = _Lattice(spec)  # raises the first invalid cell's error before any file is opened
-    # a one-axis --svg raises here
-    outputs = [(path, target, writer(lattice.names, lattice.values)) for path, target, writer in formats]
-    _write_all(lattice, outputs)
-    print(f"rows={lattice.cells}")
+    cells = run_sweep(spec)  # raises the first invalid cell's error before any file is opened
+    _write_all(cells, outputs)  # so does a one-axis --svg
+    print(f"rows={len(cells)}")
     return EXIT_OK
 
 
@@ -183,21 +180,16 @@ def run_example_checks() -> tuple[list[str], bool]:
         ("ex2", AlgorithmWeights(1.0, 2.0, 1.5), CreatorParams(2.5), (None, 7.5), Strategy.COLLABORATION),
         ("ex3", AlgorithmWeights(2.5, 0.5, 2.0), CreatorParams(1.0), (13.5, 18.5), Strategy.BEEFING),
     ]
-    for name, weights, creator, (expect_collab, expect_beef), expect_choice in cases:
-        u_collab = creator_utility(weights, creator, DEFAULT_TABLE.profiles[Strategy.COLLABORATION])
-        u_beef = creator_utility(weights, creator, DEFAULT_TABLE.profiles[Strategy.BEEFING])
-        if expect_collab is None:
-            ok = abs(u_beef - expect_beef) <= tol
-            rows.append(
-                f"check={name}_beefing_utility expected={_fmt(expect_beef)} "
-                f"actual={_fmt(u_beef)} status={'pass' if ok else 'fail'}"
-            )
-        else:
-            ok = abs(u_collab - expect_collab) <= tol and abs(u_beef - expect_beef) <= tol
-            rows.append(
-                f"check={name}_utilities expected={_fmt(expect_collab)},{_fmt(expect_beef)} "
-                f"actual={_fmt(u_collab)},{_fmt(u_beef)} status={'pass' if ok else 'fail'}"
-            )
+    for name, weights, creator, expected_utilities, expect_choice in cases:
+        # (expected, actual) per strategy, Collaboration first; ex2 checks Beefing's alone
+        pairs = [(expected, creator_utility(weights, creator, DEFAULT_TABLE.profiles[s]))
+                 for s, expected in zip(Strategy, expected_utilities) if expected is not None]
+        ok = all(abs(actual - expected) <= tol for expected, actual in pairs)
+        rows.append(
+            f"check={name}_{'utilities' if len(pairs) == 2 else 'beefing_utility'} "
+            f"expected={','.join(_fmt(expected) for expected, _ in pairs)} "
+            f"actual={','.join(_fmt(actual) for _, actual in pairs)} status={'pass' if ok else 'fail'}"
+        )
         all_ok &= ok
 
         chosen = best_response(weights, creator, DEFAULT_TABLE)

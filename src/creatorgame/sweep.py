@@ -3,16 +3,17 @@
 A sweep fixes a full scenario and varies one or two of alpha, beta, gamma,
 delta over inclusive, evenly spaced grids. The lattice is evaluated with
 numpy, one block of cells at a time: each cell holds both creator utilities,
-their gap, and the chosen (exact best-response) strategy. Cells can be
-emitted as CSV or, for two-axis sweeps, as a deterministic SVG region map;
-run_sweep materialises the whole lattice, while the CLI evaluates and writes
-it block by block.
+their gap, and the chosen (exact best-response) strategy. run_sweep returns
+a read-only view of the lattice that evaluates cells on access. write_sweep
+walks it block by block to CSV and, for two axes, a deterministic SVG region
+map; emit_csv, emit_region_svg and the CLI all write through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple
 
@@ -39,12 +40,12 @@ SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
 COLLABORATION_COLOR = "#4f9d69"
 BEEFING_COLOR = "#c0504d"
 
-# Rows (cells) evaluated, formatted and written at once, set by measurement
-# on a 2-vCPU Xeon: on the benchmark's 100-200 step two-axis sweeps, 4096
+# Rows (cells) a walk of the lattice evaluates, formats and writes at once,
+# set on a 2-vCPU Xeon: on the benchmark's 100-200 step two-axis sweeps, 4096
 # rows gave 6.8% more cells/s than 2048 in 10 of 10 paired runs, at no more
-# peak memory (2048 had beaten 1024 and 16384). A 1000 x 1000 CLI sweep
-# with --svg peaks 2.9 MiB above its post-import memory (1.7 MiB at 2048
-# rows, 8.4 MiB at 16384).
+# peak memory (2048 had beaten 1024 and 16384). A 1000 x 1000 sweep with its
+# SVG, by the CLI or by emit_csv and emit_region_svg, peaks 4.2-4.6 MiB above
+# the interpreter with creatorgame.cli imported (sweep's tables included).
 _EMIT_ROWS = 4096
 
 
@@ -128,45 +129,40 @@ class SweepCell:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult(Sequence[SweepCell]):
-    """Read-only sweep cells held as columns; a SweepCell is built on access.
+    """A read-only view of a sweep's lattice, as run_sweep returns it:
+    names[a] is the a-th swept parameter and values[a] its values.
 
-    names[a] is the a-th swept parameter, values[a] its values and
-    position[a, k] the place of cell k's value in values[a]. u_collab,
-    u_beef, gap and beefing (the chosen strategy is Beefing) hold one
-    entry per cell. Indexing, slicing (a list of cells) and iteration
-    yield SweepCell values.
+    Indexing, slicing (a list of cells) and iteration, reversed too, yield
+    SweepCell values and evaluate only the cells they touch, at most
+    _EMIT_ROWS at a time, so a view holds no per-cell data.
     """
 
-    names: tuple[str, ...]
-    values: tuple[np.ndarray, ...]
-    position: np.ndarray
-    u_collab: np.ndarray
-    u_beef: np.ndarray
-    gap: np.ndarray
-    beefing: np.ndarray
+    _lattice: _Lattice
 
-    def __post_init__(self) -> None:
-        for column in (*self.values, self.position, self.u_collab, self.u_beef, self.gap, self.beefing):
-            column.flags.writeable = False
+    names = property(lambda self: self._lattice.names)
+    values = property(lambda self: self._lattice.values)
 
     def __len__(self) -> int:
-        return len(self.gap)
+        return self._lattice.cells
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self[k] for k in range(len(self))[key]]
+            return list(self._cells(range(len(self))[key]))
         k = range(len(self))[key]
-        return SweepCell(
-            param_values={
-                name: float(values[i]) for name, values, i in zip(self.names, self.values, self.position[:, k])
-            },
-            utilities={
-                Strategy.COLLABORATION: float(self.u_collab[k]),
-                Strategy.BEEFING: float(self.u_beef[k]),
-            },
-            chosen=Strategy.BEEFING if self.beefing[k] else Strategy.COLLABORATION,
-            gap=float(self.gap[k]),
-        )
+        return next(self._cells(range(k, k + 1)))
+
+    def __iter__(self) -> Iterator[SweepCell]:
+        return self._cells(range(len(self)))
+
+    def __reversed__(self) -> Iterator[SweepCell]:
+        return self._cells(range(len(self))[::-1])
+
+    def _cells(self, ks: range) -> Iterator[SweepCell]:
+        """The cells at ks; each run of them within one block of _EMIT_ROWS is evaluated at once."""
+        for _, run in itertools.groupby(ks, lambda k: k // _EMIT_ROWS):
+            run = list(run)
+            block = self._lattice.evaluate(lo := min(run), max(run) + 1)
+            yield from (self._lattice.cell(block, k - lo) for k in run)
 
 
 def _fixed_params(spec: SweepSpec) -> dict[str, float]:
@@ -188,6 +184,18 @@ def _raise_cell_error(spec: SweepSpec, cell: SweepCell) -> None:
     raise AssertionError(f"cell {cell} was flagged invalid but evaluates")
 
 
+class _Block(NamedTuple):
+    """Cells lo..hi-1 of a lattice: position[a, k] is the place of cell
+    lo + k's value in the a-th axis' values; u_collab, u_beef, gap and
+    beefing (the chosen strategy is Beefing) hold one entry per cell."""
+
+    position: np.ndarray
+    u_collab: np.ndarray
+    u_beef: np.ndarray
+    gap: np.ndarray
+    beefing: np.ndarray
+
+
 class _Lattice:
     """The cells of a sweep, axis1 outer and axis2 inner, both ascending,
     evaluated in blocks: cell k sits at position (k // steps2, k % steps2)."""
@@ -197,20 +205,22 @@ class _Lattice:
         self.spec = spec
         self.names = tuple(axis.name for axis in axes)
         self.values = tuple(axis._array() for axis in axes)
+        for values in self.values:
+            values.flags.writeable = False
         self.cells = math.prod(axis.steps for axis in axes)
         self._phi = [features(spec.table.profiles[s], spec.creator.model) for s in Strategy]
         # The first invalid cell raises. Values ascend from lo to hi, so a negative one shows in cell 0. Else weights,
         # features and deltas are >= 0 and rounding is monotone: a utility is non-finite only if the last cell's is.
         if not all(values[0] >= 0.0 for values in self.values):  # _checked's test, which -0.0 passes
-            _raise_cell_error(spec, self.evaluate(0, 1)[0])
+            _raise_cell_error(spec, self.cell(self.evaluate(0, 1), 0))
         last = self.evaluate(self.cells - 1, self.cells)
         if not np.isfinite([last.u_collab, last.u_beef]).all():
             for block in self.blocks():
                 ok = np.isfinite([block.u_collab, block.u_beef]).all(axis=0)
                 if not ok.all():
-                    _raise_cell_error(spec, block[int(np.argmin(ok))])
+                    _raise_cell_error(spec, self.cell(block, int(np.argmin(ok))))
 
-    def evaluate(self, lo: int, hi: int) -> SweepResult:
+    def evaluate(self, lo: int, hi: int) -> _Block:
         """Cells lo..hi-1. Each utility is creator_utility's sum over the
         swept arrays, core._engagement(w, φ) - delta*r, so every value has
         the scalar bits."""
@@ -230,22 +240,29 @@ class _Lattice:
                 for phi in self._phi
             )
             gap = u_beef - u_collab
-        return SweepResult(self.names, self.values, position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
+        return _Block(position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
 
-    def blocks(self) -> Iterator[SweepResult]:
+    def blocks(self) -> Iterator[_Block]:
         """Every cell in consecutive blocks of at most _EMIT_ROWS, in lattice order."""
         return (self.evaluate(lo, min(lo + _EMIT_ROWS, self.cells)) for lo in range(0, self.cells, _EMIT_ROWS))
 
+    def cell(self, block: _Block, k: int) -> SweepCell:
+        """The k-th cell of a block."""
+        params = {name: float(values[i]) for name, values, i in zip(self.names, self.values, block.position[:, k])}
+        utilities = dict(zip(Strategy, (float(block.u_collab[k]), float(block.u_beef[k]))))
+        chosen = Strategy.BEEFING if block.beefing[k] else Strategy.COLLABORATION
+        return SweepCell(params, utilities, chosen, float(block.gap[k]))
+
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every lattice point, axis1 outer and axis2 inner, both ascending.
+    """A read-only view of every lattice point, axis1 outer and axis2
+    inner, both ascending; its cells are evaluated on access.
 
     Raises the error the first invalid cell raises in that order: a
     negative swept value (SweepAxis refuses non-finite bounds), or a
     non-finite utility.
     """
-    lattice = _Lattice(spec)
-    return lattice.evaluate(0, lattice.cells)
+    return SweepResult(_Lattice(spec))
 
 
 def region_boundary(spec: SweepSpec) -> float | None:
@@ -374,29 +391,8 @@ class _Writer(NamedTuple):
     """One output format: its head, the bytes of each block's rows, its tail."""
 
     head: bytes
-    rows: Callable[[SweepResult], bytes]
+    rows: Callable[[_Block], bytes]
     tail: bytes
-
-
-def _emit(outputs: Sequence[tuple[_Writer, BinaryIO]], blocks: Iterable[SweepResult]) -> None:
-    """Write each writer's head, then every block's rows, then its tail, to its sink."""
-    for writer, sink in outputs:
-        sink.write(writer.head)
-    for block in blocks:
-        for writer, sink in outputs:
-            sink.write(writer.rows(block))
-    for writer, sink in outputs:
-        if writer.tail:
-            sink.write(writer.tail)
-
-
-def _slices(cells: SweepResult) -> Iterator[SweepResult]:
-    """Consecutive blocks of at most _EMIT_ROWS cells, which bound the
-    memory the emitters' strings take."""
-    for lo in range(0, len(cells), _EMIT_ROWS):
-        rows = slice(lo, lo + _EMIT_ROWS)
-        columns = (cells.u_collab, cells.u_beef, cells.gap, cells.beefing)
-        yield SweepResult(cells.names, cells.values, cells.position[:, rows], *(column[rows] for column in columns))
 
 
 def _csv_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writer:
@@ -411,12 +407,12 @@ def _csv_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writ
     template = np.zeros(1, dtype=row)  # every field but the commas is written per block
     template["reals"]["comma"] = b","
 
-    def rows(block: SweepResult) -> bytes:
-        lines = np.repeat(template, len(block))
+    def rows(block: _Block) -> bytes:
+        lines = np.repeat(template, len(block.gap))
         for (field, column), i in zip(params, block.position[order]):
             lines[field] = column[i]
         reals = _format_9g(np.stack([block.u_collab, block.u_beef, block.gap], axis=1).ravel())
-        lines["reals"]["value"] = reals.view("S16").reshape(len(block), 3)
+        lines["reals"]["value"] = reals.view("S16").reshape(len(block.gap), 3)
         lines["chosen"] = chosen[block.beefing.view(np.uint8)]
         return lines.tobytes().translate(None, b"\0")
 
@@ -431,11 +427,7 @@ def emit_csv(cells: SweepResult, sink: BinaryIO) -> None:
     name; rows end with LF. Rows are formatted and written in blocks of
     _EMIT_ROWS cells. Any input but a SweepResult raises TypeError.
     """
-    if not isinstance(cells, SweepResult):
-        raise TypeError(f"emit_csv takes the SweepResult of run_sweep, got {type(cells).__name__}")
-    if not len(cells):
-        raise InvalidScenarioError("no cells to emit")
-    _emit([(_csv_writer(cells.names, cells.values), sink)], _slices(cells))
+    write_sweep(_checked_result("emit_csv", cells), csv=lambda: sink)
 
 
 def _svg_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writer:
@@ -457,7 +449,7 @@ def _svg_writer(names: tuple[str, ...], values: tuple[np.ndarray, ...]) -> _Writ
     size = f' width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
     tails = np.stack([ys + f'{size}{color}"/>' for color in (COLLABORATION_COLOR, BEEFING_COLOR)])
 
-    def rows(block: SweepResult) -> bytes:
+    def rows(block: _Block) -> bytes:
         """One join per run of cells in the same column i."""
         i, j = block.position
         picked = tails[block.beefing.view(np.uint8), j].tolist()
@@ -493,11 +485,35 @@ def emit_region_svg(cells: SweepResult, sink: BinaryIO) -> None:
     labeled with the parameter names and their ranges. Rects are formatted
     and written in blocks of _EMIT_ROWS cells. Output is
     byte-deterministic for identical input. Any input but a SweepResult
-    raises TypeError; an empty or one-axis result raises
-    MalformedLatticeError.
+    raises TypeError; a one-axis result raises MalformedLatticeError.
     """
+    write_sweep(_checked_result("emit_region_svg", cells), svg=lambda: sink)
+
+
+def _checked_result(caller: str, cells: SweepResult) -> SweepResult:
+    """cells, unless they are not a run_sweep result: then a TypeError that names the caller."""
     if not isinstance(cells, SweepResult):
-        raise TypeError(f"emit_region_svg takes the SweepResult of run_sweep, got {type(cells).__name__}")
-    if not len(cells):
-        raise MalformedLatticeError("no cells")
-    _emit([(_svg_writer(cells.names, cells.values), sink)], _slices(cells))
+        raise TypeError(f"{caller} takes the SweepResult of run_sweep, got {type(cells).__name__}")
+    return cells
+
+
+def write_sweep(
+    cells: SweepResult, csv: Callable[[], BinaryIO] | None = None, svg: Callable[[], BinaryIO] | None = None
+) -> None:
+    """Write a run_sweep result as emit_csv's CSV and emit_region_svg's SVG in
+    one walk of its lattice, evaluating each block of _EMIT_ROWS cells once.
+    Each sink is given as a callable that opens it, csv's first, and none is
+    called before the formats fit the cells: a one-axis svg raises
+    MalformedLatticeError with no sink opened. A non-SweepResult raises TypeError."""
+    lattice = _checked_result("write_sweep", cells)._lattice
+    formats = [(writer(lattice.names, lattice.values), open_sink)
+               for writer, open_sink in ((_csv_writer, csv), (_svg_writer, svg)) if open_sink is not None]
+    outputs = [(writer, open_sink()) for writer, open_sink in formats]
+    for writer, sink in outputs:
+        sink.write(writer.head)
+    for block in lattice.blocks():
+        for writer, sink in outputs:
+            sink.write(writer.rows(block))
+    for writer, sink in outputs:
+        if writer.tail:
+            sink.write(writer.tail)

@@ -436,8 +436,8 @@ def test_sweep_svg_needs_two_axes(tmp_path, capsys):
 
 
 def test_failed_sweep_keeps_earlier_outputs_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
-    # the one-axis --svg error comes before any output is emitted
-    monkeypatch.setattr("creatorgame.sweep._emit", lambda outputs, blocks: pytest.fail("output emitted"))
+    # the one-axis --svg error comes before any output is opened
+    monkeypatch.setattr(cli, "open", lambda *args: pytest.fail("output opened"), raising=False)
     out_csv, out_svg = tmp_path / "a.csv", tmp_path / "a.svg"
     out_csv.write_bytes(b"old csv\n")
     out_svg.write_bytes(b"old svg\n")
@@ -531,33 +531,55 @@ def test_a_sweep_evaluates_each_block_once(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "a.svg")]) == EXIT_OK
     assert capsys.readouterr().out == "rows=99\n"
     # the one-cell probe of the last cell, then the 15 blocks as they are written
-    assert calls == [(98, 99), *((lo, min(lo + 7, 99)) for lo in range(0, 99, 7))]
+    blocks = [(lo, min(lo + 7, 99)) for lo in range(0, 99, 7)]
+    assert calls == [(98, 99), *blocks]
+    # through the API, the view is built with the probe and each emitter walks the blocks once
+    calls.clear()
+    cells = run_sweep(_sweep_spec("example1", ("alpha", 0.0, 4.0, 9), ("delta", 0.0, 5.0, 11)))
+    assert calls == [(98, 99)]
+    _emitted(emit_csv, cells)
+    _emitted(emit_region_svg, cells)
+    assert calls == [(98, 99), *blocks, *blocks]
 
 
 # VmHWM, not ru_maxrss: Linux keeps the forking process's peak in ru_maxrss
 # across exec, so ru_maxrss would read this test process's own peak.
 MEASURE_SWEEP_RSS = """
+import os
 import sys
-from creatorgame.cli import main
+from creatorgame import cli, preset_scenario
 
 def peak_rss_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
+def api():  # the CLI's sweep through run_sweep and the emitters, written to the null device
+    from creatorgame import SweepAxis, SweepSpec, emit_csv, emit_region_svg, run_sweep
+
+    example1 = preset_scenario("example1")
+    axes = SweepAxis("alpha", 0.0, 4.0, 700), SweepAxis("delta", 0.0, 5.0, 700)
+    cells = run_sweep(SweepSpec(*axes, example1.weights, example1.creator, example1.table, example1.rule))
+    with open(os.devnull, "wb") as sink:
+        emit_csv(cells, sink)
+        emit_region_svg(cells, sink)
+    print(f"rows={len(cells)}")
+    return 0
+
 imported = peak_rss_kib()
-code = main(sys.argv[1:])
+code = api() if sys.argv[1] == "api" else cli.main(sys.argv[2:])
 print(code, imported, peak_rss_kib(), file=sys.stderr)
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc (Linux)")
-def test_sweep_memory_is_bounded_by_a_block_not_the_lattice(tmp_path):
+@pytest.mark.parametrize("path", ["cli", "api"])
+def test_sweep_memory_is_bounded_by_a_block_not_the_lattice(tmp_path, path):
     # 490,000 cells: the materialised lattice alone would take about 20 MiB
     argv = ["sweep", "example1", "--axis1", "alpha:0:4:700", "--axis2", "delta:0:5:700"]
     argv += ["--out", str(tmp_path / "big.csv"), "--svg", str(tmp_path / "big.svg")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", MEASURE_SWEEP_RSS, *argv], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", MEASURE_SWEEP_RSS, path, *argv], capture_output=True, text=True, env=env, timeout=300
     )
     code, imported, peak = map(int, proc.stderr.split())
     assert (code, proc.stdout) == (EXIT_OK, "rows=490000\n")
@@ -692,9 +714,8 @@ def test_io_errors_name_the_requested_output(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.csv"
     example1 = preset_scenario("example1")
     spec = SweepSpec(SweepAxis("delta", 0.0, 4.0, 5), None, example1.weights, example1.creator, DEFAULT_TABLE)
-    lattice = sweep._Lattice(spec)
     with pytest.raises(PermissionError) as info:
-        cli._write_all(lattice, [(str(out), str(out), sweep._csv_writer(lattice.names, lattice.values))])
+        cli._write_all(run_sweep(spec), [(str(out), str(out)), None])
     assert (info.value.errno, info.value.strerror, info.value.filename, info.value.filename2) == (
         errno.EACCES, "Permission denied", str(out), None
     )

@@ -35,6 +35,7 @@ from creatorgame import (
     region_boundary,
     run_sweep,
     utility_gap,
+    write_sweep,
 )
 from creatorgame import sweep
 from creatorgame.cli import EXIT_OK, main
@@ -193,18 +194,6 @@ def _reference_svg(spec, cells):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _empty(result):
-    """The result with every per-cell column cut to no cells."""
-    return dataclasses.replace(
-        result,
-        position=result.position[:, :0],
-        u_collab=result.u_collab[:0],
-        u_beef=result.u_beef[:0],
-        gap=result.gap[:0],
-        beefing=result.beefing[:0],
-    )
-
-
 def _emitted(emit, cells):
     sink = io.BytesIO()
     emit(cells, sink)
@@ -239,13 +228,10 @@ def test_columnar_kernel_matches_scalar_path_bit_for_bit():
             )
             result, reference = run_sweep(spec), _reference_cells(spec)
             assert len(result) == len(reference)
-            assert result.u_collab.tolist() == [c.utilities[Strategy.COLLABORATION] for c in reference]
-            assert result.u_beef.tolist() == [c.utilities[Strategy.BEEFING] for c in reference]
-            assert result.gap.tolist() == [c.gap for c in reference]
-            assert [c.chosen for c in result] == [c.chosen for c in reference]
+            assert list(result) == reference  # every cell's values, utilities, gap and choice
             if same:
-                assert not result.gap.any()
-                assert not result.beefing.any()  # ties go to collaboration
+                assert not any(cell.gap for cell in result)
+                assert all(cell.chosen is Strategy.COLLABORATION for cell in result)  # ties go to collaboration
             assert _emitted(emit_csv, result) == _reference_csv(reference)
             if len(axes) == 2:
                 assert _emitted(emit_region_svg, result) == _reference_svg(spec, reference)
@@ -271,13 +257,16 @@ def test_emitters_write_bounded_row_blocks_with_the_same_bytes(rows, steps, monk
     result, reference = run_sweep(spec), _reference_cells(spec)
     blocks = -(-len(result) // rows)
     expected = {emit_csv: (_reference_csv(reference), 0), emit_region_svg: (_reference_svg(spec, reference), 1)}
-    for emit, (reference_bytes, trailer) in expected.items():
+    both = _RecordingSink(), _RecordingSink()
+    write_sweep(result, csv=lambda: both[0], svg=lambda: both[1])  # both outputs in one walk
+    for (emit, (reference_bytes, trailer)), written in zip(expected.items(), both):
         sink = _RecordingSink()
         emit(result, sink)
-        assert sink.getvalue() == reference_bytes
-        # a header, one write per block of at most `rows` cells (under 128 bytes each), the SVG's labels
-        assert len(sink.sizes) == 1 + blocks + trailer
-        assert max(sink.sizes[1 : 1 + blocks]) < rows * 128
+        for sink in (sink, written):
+            assert sink.getvalue() == reference_bytes
+            # a header, one write per block of at most `rows` cells (under 128 bytes each), the SVG's labels
+            assert len(sink.sizes) == 1 + blocks + trailer
+            assert max(sink.sizes[1 : 1 + blocks]) < rows * 128
 
 
 def test_invalid_cells_raise_the_first_scalar_error():
@@ -332,9 +321,18 @@ def _lattice_specs(draw):
     }
 
 
-def _cli_lattice(spec):
-    """The cells as the CLI evaluates them: the lattice, then its blocks."""
-    return list(sweep._Lattice(spec).blocks())
+def _lattice_blocks(spec):
+    """The cells as the writers take them: the lattice, then its blocks."""
+    lattice = sweep._Lattice(spec)
+    return [[lattice.cell(block, k) for k in range(len(block.gap))] for block in lattice.blocks()]
+
+
+_WALKS = (
+    lambda spec: [run_sweep(spec)],  # the view's iteration
+    lambda spec: [[cells[k] for k in range(len(cells))] for cells in [run_sweep(spec)]],  # its indexing
+    lambda spec: [run_sweep(spec)[::-1][::-1]],  # a slice whose cells descend through the blocks
+    _lattice_blocks,
+)
 
 
 # a later cell overflows while cell 0 is finite, in the second block when rows is 2
@@ -357,7 +355,7 @@ def test_property_sweeps_fail_exactly_where_the_scalar_walk_first_fails(drawn, r
         reference, expected = None, str(exc)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "_EMIT_ROWS", rows)
-        for evaluate in (lambda spec: [run_sweep(spec)], _cli_lattice):
+        for evaluate in _WALKS:
             if expected is not None:
                 with pytest.raises(InvalidScenarioError) as info:
                     evaluate(spec)
@@ -428,11 +426,41 @@ def test_result_is_a_read_only_sequence_of_cells():
     assert result[2:9:3] == reference[2:9:3]
     assert result[::-1] == reference[::-1]
     assert list(result) == reference
+    assert list(reversed(result)) == reference[::-1]
     for bad in (12, -13):
         with pytest.raises(IndexError):
             result[bad]
     with pytest.raises(ValueError):
-        result.gap[0] = 1.0
+        result.values[0][0] = 1.0  # the axes the view's cells are evaluated from
+    with pytest.raises(AttributeError):
+        result.names = ("beta", "delta")
+
+
+def test_the_view_evaluates_only_the_cells_it_touches(monkeypatch):
+    calls = []
+    evaluate = sweep._Lattice.evaluate
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return evaluate(self, lo, hi)
+
+    monkeypatch.setattr(sweep._Lattice, "evaluate", counted)
+    monkeypatch.setattr(sweep, "_EMIT_ROWS", 7)
+    result = run_sweep(_spec(SweepAxis("alpha", 0.0, 3.0, 4), axis2=SweepAxis("delta", 0.0, 4.0, 5)))
+    assert calls == [(19, 20)]  # the probe of the last cell
+    touched = {
+        "len": lambda: len(result),
+        "index": lambda: result[-9],
+        "slice": lambda: result[12:5:-2],  # cells 12, 10, 8 | 6: one evaluation per block of 7 it touches
+        "iteration": lambda: list(result),
+        "reversed": lambda: list(reversed(result)),
+    }
+    expected = {"len": [], "index": [(11, 12)], "slice": [(8, 13), (6, 7)], "iteration": [(0, 7), (7, 14), (14, 20)]}
+    expected["reversed"] = expected["iteration"][::-1]
+    for name, touch in touched.items():
+        calls.clear()
+        touch()
+        assert calls == expected[name], name
 
 
 def test_region_boundary_inside_and_outside_range():
@@ -457,18 +485,16 @@ def test_emit_csv_golden_bytes():
     assert sink.getvalue() == b"delta,u_collab,u_beef,gap,chosen\n1,16.5,12,-4.5,Collaboration\n"
 
 
-def test_emit_csv_empty_is_an_error():
-    empty = _empty(run_sweep(_spec(SweepAxis("delta", 0.0, 4.0, 5))))
-    assert len(empty) == 0
-    with pytest.raises(InvalidScenarioError, match="^no cells to emit$"):
-        emit_csv(empty, io.BytesIO())
-
-
 def test_emitters_take_only_a_sweep_result():
     cells = run_sweep(_spec(SweepAxis("alpha", 0.0, 2.0, 3), axis2=SweepAxis("delta", 0.0, 4.0, 3)))
-    for emit in (emit_csv, emit_region_svg):
+    emitters = {
+        "emit_csv": emit_csv,
+        "emit_region_svg": emit_region_svg,
+        "write_sweep": lambda cells, sink: write_sweep(cells, csv=lambda: sink),
+    }
+    for name, emit in emitters.items():
         for cell_list in (list(cells), cells[:-1], cells[:], []):
-            with pytest.raises(TypeError, match=f"^{emit.__name__} takes the SweepResult of run_sweep, got list$"):
+            with pytest.raises(TypeError, match=f"^{name} takes the SweepResult of run_sweep, got list$"):
                 emit(cell_list, io.BytesIO())
 
 
@@ -590,9 +616,8 @@ def test_svg_rejects_malformed_lattices():
     one_axis = run_sweep(_spec(SweepAxis("delta", 0.0, 4.0, 5)))
     with pytest.raises(MalformedLatticeError, match=r"^cells must come from a 2-axis sweep, got axes \['delta'\]$"):
         emit_region_svg(one_axis, io.BytesIO())
-    cells = run_sweep(_spec(SweepAxis("alpha", 0.0, 2.0, 3), axis2=SweepAxis("delta", 0.0, 4.0, 3)))
-    with pytest.raises(MalformedLatticeError, match="^no cells$"):
-        emit_region_svg(_empty(cells), io.BytesIO())
+    with pytest.raises(MalformedLatticeError):  # before either sink is opened
+        write_sweep(one_axis, csv=lambda: pytest.fail("CSV opened"), svg=lambda: pytest.fail("SVG opened"))
 
 
 def test_axis_and_spec_validation():
