@@ -17,10 +17,9 @@ from creatorgame import (
     Strategy,
     SweepAxis,
     SweepSpec,
-    emit_csv,
-    emit_region_svg,
     region_boundary,
     run_sweep,
+    write_sweep,
 )
 
 spec = SweepSpec(
@@ -37,10 +36,9 @@ print(f"{len(cells)} cells evaluated; {beef_cells} choose beefing")
 
 out_dir = Path(__file__).resolve().parent / "out"
 out_dir.mkdir(exist_ok=True)
-with open(out_dir / "alpha_delta_regions.csv", "wb") as sink:
-    emit_csv(cells, sink)
-with open(out_dir / "alpha_delta_regions.svg", "wb") as sink:
-    emit_region_svg(cells, sink)
+# one walk of the lattice writes both files (emit_csv and emit_region_svg would walk it once each)
+with open(out_dir / "alpha_delta_regions.csv", "wb") as csv, open(out_dir / "alpha_delta_regions.svg", "wb") as svg:
+    write_sweep(cells, csv=lambda: csv, svg=lambda: svg)
 print(f"wrote {out_dir / 'alpha_delta_regions.csv'}")
 print(f"wrote {out_dir / 'alpha_delta_regions.svg'}")
 

@@ -84,9 +84,8 @@ def _cmd_equilibrium(scenario: Scenario) -> int:
     except InvalidScenarioError as exc:
         raise ScenarioError(f"scenario.domain: {exc}") from exc
     result = stackelberg_solve(scenario.domain, scenario.population, scenario.rule, scenario.table)
-    print(f"alpha={_fmt(result.weights.alpha)}")
-    print(f"beta={_fmt(result.weights.beta)}")
-    print(f"gamma={_fmt(result.weights.gamma)}")
+    for name in ("alpha", "beta", "gamma"):
+        print(f"{name}={_fmt(getattr(result.weights, name))}")
     for strategy in Strategy:
         print(f"share_{strategy.value}={_fmt(result.shares.share[strategy])}")
     print(f"leader_value={_fmt(result.leader_value)}")
@@ -151,14 +150,8 @@ def _cmd_sweep(scenario: Scenario, axis1: str, axis2: str | None, out: str, svg:
         raise InvalidScenarioError(f"--out and --svg name the same file, {outputs[0][1]!r}")
     if not isinstance(scenario.rule, Exact):
         raise ScenarioError(f"scenario.rule: sweeps use the exact rule only, got {scenario.rule!r}")
-    spec = SweepSpec(
-        axis1=_parse_axis(axis1),
-        axis2=_parse_axis(axis2) if axis2 is not None else None,
-        weights=scenario.weights,
-        creator=scenario.creator,
-        table=scenario.table,
-        rule=scenario.rule,
-    )
+    axes = (_parse_axis(axis1), None if axis2 is None else _parse_axis(axis2))
+    spec = SweepSpec(*axes, scenario.weights, scenario.creator, scenario.table, scenario.rule)
     cells = run_sweep(spec)  # raises the first invalid cell's error before any file is opened
     _write_all(cells, outputs)  # so does a one-axis --svg
     print(f"rows={len(cells)}")

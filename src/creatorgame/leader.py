@@ -188,15 +188,11 @@ def enumerate_domain(domain: WeightDomain) -> list[AlgorithmWeights]:
 def _values_stay_finite(columns: _Columns, top: tuple[float, float, float], leader_top: float) -> bool:
     """Whether no utility, gap, choice probability or leader value can be
     non-finite anywhere on a grid whose weights are at most `top` on each
-    axis; leader_top is the larger leader engagement sum at `top`.
-
-    Weights, features and deltas are >= 0 and rounding is monotone, so every
-    engagement sum on the grid is at most its value at `top`, and every risk
-    cost at most the largest of the columns' delta * r. A utility is then at
-    most their sum in size, a gap or a shifted quantal exponent at most twice
-    that, and a leader value at most leader_top times (1 + a few ulps): a
-    factor 4 keeps them all finite.
-    """
+    axis; leader_top is the larger leader engagement sum at `top`. By
+    response._choose's bound, a utility is at most in size the engagement
+    sum at `top` plus the largest delta * r, a gap or a shifted quantal
+    exponent at most twice that, and a leader value at most leader_top
+    times (1 + a few ulps): a factor 4 keeps them all finite."""
     utility = _engagement(*top, columns.feat).max() + columns.risk_cost.max()
     return math.isfinite(4.0 * utility) and math.isfinite(4.0 * leader_top)
 

@@ -7,7 +7,6 @@ deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
@@ -25,7 +24,7 @@ from .core import (
     _engagement,
     features,
 )
-from .response import TIE_TOLERANCE, Exact, Quantal, ResponseRule, Satisficing, respond
+from .response import ResponseRule, _choose, respond
 
 # Largest grid points x members one search may evaluate. At the limit, a
 # search that evaluates every point takes about 0.55 s for a single creator
@@ -109,11 +108,11 @@ def _chunk_shares(
 
     alpha, beta and gamma have shape (points,). The engagement sums
     e = w·φ are computed by core._engagement once per point, strategy and
-    model, and each utility is e - delta*r, as in creator_utility, so exact
-    and satisficing shares are the same head-count fractions as the
-    per-member path, bit for bit. Quantal shares agree with it to
-    1e-12 only: np.exp may differ from math.exp by one ulp, and the
-    probabilities are summed pairwise.
+    model, each utility is e - delta*r, as in creator_utility, and
+    response._choose makes the choices, so exact and satisficing shares
+    are the same head-count fractions as the per-member path, bit for bit.
+    Quantal shares agree with it to 1e-12 only: np.exp may differ from
+    math.exp by one ulp, and the probabilities are summed pairwise.
 
     Returns both shares as (points,) arrays and a (points, members) mask of
     the members whose respond raises at each point, or None exactly when no
@@ -121,44 +120,16 @@ def _chunk_shares(
     _raise_member_error. Callers silence numpy's floating-point warnings.
     """
     e = _engagement(alpha[:, None, None], beta[:, None, None], gamma[:, None, None], columns.feat)
-    # e and delta*r are >= 0, so every utility is finite when both are
-    finite = columns.risk_finite and bool(np.isfinite(e).all())
+    finite = columns.risk_finite and bool(np.isfinite(e).all())  # see _choose
     if columns.model is not None:  # take keeps the (points, 2, members) gather C-ordered
         e = e.take(columns.model, axis=2)
-    u_collab = e[:, 0] - columns.risk_cost[0]
-    u_beef = e[:, 1] - columns.risk_cost[1]
-    gap = u_beef - u_collab
+    _, beef, collab, failed = _choose(rule, e[:, 0] - columns.risk_cost[0], e[:, 1] - columns.risk_cost[1], finite)
     n = columns.risk_cost.shape[1]
-    failed = None
-    if isinstance(rule, Quantal):
-        # The larger utility's shifted score is exp(0) = 1 and the other's
-        # exp(-lam * |gap|), so one exp per member gives respond's scores.
-        beefs = gap > 0.0
-        other = np.exp(-rule.lam * np.abs(gap))
-        norm = 1.0 + other
-        top, rest = 1.0 / norm, other / norm
-        p_collab, p_beef = np.where(beefs, rest, top), np.where(beefs, top, rest)
-        if not finite:  # a +inf utility shifts to inf - inf: both probabilities are nan
-            overflow = np.maximum(u_collab, u_beef) == np.inf
-            p_collab[overflow] = p_beef[overflow] = np.nan
-        # C-ordered rows are summed pairwise, as in population_shares' one-point call
-        total_collab = p_collab.sum(axis=1)
-        if not (finite and math.isfinite(total_collab.sum())):  # some member may have failed
-            failed = ~(np.isfinite(u_collab) & np.isfinite(u_beef) & np.isfinite(p_collab))
-        s_collab, s_beef = total_collab / n, p_beef.sum(axis=1) / n
-    else:
-        if isinstance(rule, Exact):
-            beefing, reads_beef = gap > rule.tie_tol, True
-        elif isinstance(rule, Satisficing):
-            # respond reads Beefing's utility only when Collaboration's falls short
-            reads_beef = u_collab < rule.aspiration
-            beefing = reads_beef & ((u_beef >= rule.aspiration) | (gap > TIE_TOLERANCE))
-        else:
-            raise TypeError(f"unknown response rule: {rule!r}")
-        if not finite:
-            failed = ~np.isfinite(u_collab) | (reads_beef & ~np.isfinite(u_beef))
-        beefs = np.count_nonzero(beefing, axis=1)
+    if collab is None:  # head counts
+        beefs = np.count_nonzero(beef, axis=1)
         s_collab, s_beef = (n - beefs) / n, beefs / n
+    else:  # C-ordered rows are summed pairwise, as in population_shares' one-point call
+        s_collab, s_beef = collab.sum(axis=1) / n, beef.sum(axis=1) / n
     return s_collab, s_beef, failed if failed is not None and failed.any() else None
 
 

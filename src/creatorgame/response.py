@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .core import (
     AlgorithmWeights,
     CreatorParams,
@@ -99,9 +101,7 @@ def best_response(
 ) -> Strategy:
     """The utility-maximizing strategy; |gap| <= tie_tol counts as a tie
     and goes to collaboration."""
-    if utility_gap(weights, params, table) > tie_tol:
-        return Strategy.BEEFING
-    return Strategy.COLLABORATION
+    return Strategy.BEEFING if utility_gap(weights, params, table) > tie_tol else Strategy.COLLABORATION
 
 
 def respond(
@@ -130,6 +130,45 @@ def respond(
                 return _point_mass(s)
         return _point_mass(best_response(weights, params, table))
     raise TypeError(f"unknown response rule: {rule!r}")
+
+
+def _choose(
+    rule: ResponseRule, u_collab: np.ndarray, u_beef: np.ndarray, finite: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """respond's choices at arrays of utilities, entry by entry: the one array
+    kernel of the response rules. Returns gap = u_beef - u_collab; beef, the
+    Beefing mask (exact, satisficing: collab is None) or both probabilities
+    (quantal); and failed, the mask of entries whose respond raises, or None
+    when finite says every utility is finite and none can then fail (all
+    rules but quantal at lam = 0). Finiteness shows in one value: weights,
+    features and deltas are >= 0 and rounding is monotone, so on a grid each
+    engagement sum w·φ is at most its value at the top weights and each risk
+    cost delta*r at most the largest; a utility w·φ - delta*r is finite when
+    those are. Callers silence numpy's floating-point warnings."""
+    gap = u_beef - u_collab
+    if isinstance(rule, Quantal):
+        # The larger utility's shifted score is exp(0) = 1 and the other's
+        # exp(-lam * |gap|), so one exp per entry gives respond's scores.
+        beefs = gap > 0.0
+        other = np.exp(-rule.lam * np.abs(gap))
+        norm = 1.0 + other
+        top, rest = 1.0 / norm, other / norm
+        collab, beef = np.where(beefs, rest, top), np.where(beefs, top, rest)
+        if not finite:  # a +inf utility shifts to inf - inf: both probabilities are nan
+            overflow = np.maximum(u_collab, u_beef) == np.inf
+            collab[overflow] = beef[overflow] = np.nan
+        if finite and rule.lam > 0.0:  # with finite utilities only lam = 0 times an overflowed gap is nan
+            return gap, beef, collab, None
+        return gap, beef, collab, ~(np.isfinite(u_collab) & np.isfinite(u_beef) & np.isfinite(collab))
+    if isinstance(rule, Exact):
+        beef, reads_beef = gap > rule.tie_tol, True
+    elif isinstance(rule, Satisficing):
+        # respond reads Beefing's utility only when Collaboration's falls short
+        reads_beef = u_collab < rule.aspiration
+        beef = reads_beef & ((u_beef >= rule.aspiration) | (gap > TIE_TOLERANCE))
+    else:
+        raise TypeError(f"unknown response rule: {rule!r}")
+    return gap, beef, None, None if finite else ~np.isfinite(u_collab) | (reads_beef & ~np.isfinite(u_beef))
 
 
 def switching_delta(

@@ -3,10 +3,11 @@
 A sweep fixes a full scenario and varies one or two of alpha, beta, gamma,
 delta over inclusive, evenly spaced grids. The lattice is evaluated with
 numpy, one block of cells at a time: each cell holds both creator utilities,
-their gap, and the chosen (exact best-response) strategy. run_sweep returns
-a read-only view of the lattice that evaluates cells on access. write_sweep
-walks it block by block to CSV and, for two axes, a deterministic SVG region
-map; emit_csv, emit_region_svg and the CLI all write through it.
+their gap, and the exact rule's choice, made by response._choose as in the
+equilibrium solve. run_sweep returns a read-only view of the lattice that
+evaluates cells on access. write_sweep walks it block by block to CSV and,
+for two axes, a deterministic SVG region map; emit_csv, emit_region_svg and
+the CLI all write through it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     features,
 )
 from .population import MAX_GRID_EVALUATIONS
-from .response import Exact, switching_delta
+from .response import Exact, _choose, switching_delta
 
 SWEEPABLE_PARAMS = ("alpha", "beta", "gamma", "delta")
 
@@ -209,21 +210,21 @@ class _Lattice:
             values.flags.writeable = False
         self.cells = math.prod(axis.steps for axis in axes)
         self._phi = [features(spec.table.profiles[s], spec.creator.model) for s in Strategy]
-        # The first invalid cell raises. Values ascend from lo to hi, so a negative one shows in cell 0. Else weights,
-        # features and deltas are >= 0 and rounding is monotone: a utility is non-finite only if the last cell's is.
+        # The first invalid cell raises. Values ascend from lo to hi, so a negative one shows in cell 0. Else the
+        # last cell's utilities bound every cell's (see response._choose): no cell fails unless the last one does.
         if not all(values[0] >= 0.0 for values in self.values):  # _checked's test, which -0.0 passes
             _raise_cell_error(spec, self.cell(self.evaluate(0, 1), 0))
-        last = self.evaluate(self.cells - 1, self.cells)
-        if not np.isfinite([last.u_collab, last.u_beef]).all():
-            for block in self.blocks():
-                ok = np.isfinite([block.u_collab, block.u_beef]).all(axis=0)
-                if not ok.all():
-                    _raise_cell_error(spec, self.cell(block, int(np.argmin(ok))))
+        with np.errstate(all="ignore"):  # the gap of a non-finite utility
+            last = self.evaluate(self.cells - 1, self.cells)
+            if _choose(spec.rule, last.u_collab, last.u_beef, False)[3].any():
+                for block in self.blocks():
+                    if (failed := _choose(spec.rule, block.u_collab, block.u_beef, False)[3]).any():
+                        _raise_cell_error(spec, self.cell(block, int(np.argmax(failed))))
 
     def evaluate(self, lo: int, hi: int) -> _Block:
         """Cells lo..hi-1. Each utility is creator_utility's sum over the
         swept arrays, core._engagement(w, φ) - delta*r, so every value has
-        the scalar bits."""
+        the scalar bits; response._choose makes the choice."""
         k = np.arange(lo, hi)
         if len(self.values) == 2:
             steps2 = len(self.values[1])
@@ -239,8 +240,7 @@ class _Lattice:
                 _engagement(params["alpha"], params["beta"], params["gamma"], phi) - params["delta"] * phi[3]
                 for phi in self._phi
             )
-            gap = u_beef - u_collab
-        return _Block(position, u_collab, u_beef, gap, gap > self.spec.rule.tie_tol)
+            return _Block(position, u_collab, u_beef, *_choose(self.spec.rule, u_collab, u_beef, True)[:2])
 
     def blocks(self) -> Iterator[_Block]:
         """Every cell in consecutive blocks of at most _EMIT_ROWS, in lattice order."""
